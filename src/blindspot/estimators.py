@@ -15,10 +15,14 @@ Three estimator modes evaluate B(tau) from a table alone:
     plugin plus the missing-mass estimate f1/n (f1 = number of singletons),
     clamped to 1.  Corrects the plug-in's blindness to never-seen states.
 ``generalized-gt``
-    sum over r in [0, tau) of (r+1) * f_{r+1} / n, a frequency-smoothed
-    estimate of the mass at counts below tau.  At tau=1 it reduces to f1/n.
-    This mode extrapolates beyond the plug-in definition and is flagged as an
-    extension wherever it appears in output metadata.
+    Good's (1953) estimate of the true mass on states seen fewer than tau
+    times: sum over r in [0, tau) of (r+1) * f_{r+1} / n, where (r+1) *
+    f_{r+1} / n estimates the total mass of the states seen exactly r times
+    (r = 0 gives the missing mass f1/n).  The sum equals the plugin estimate
+    at tau+1.  Reports flag it as an extension in their metadata.
+
+All three read the exact integer numerator sum_{r<t} r * f_r at t = tau, or
+t = tau+1 for generalized-gt, and divide by n once.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .counts import (
     KNOWN_TRUTH,
@@ -73,8 +78,8 @@ ESTIMATOR_MODES = (MODE_PLUGIN, MODE_PLUGIN_UNSEEN, MODE_GENERALIZED_GT)
 # modes that go beyond the plug-in definition; reports must surface the note
 EXTENSION_MODE_NOTES = {
     MODE_GENERALIZED_GT: (
-        "extension: frequency-smoothed low-count mass from the counts-(r+1) "
-        "spectrum, not a plug-in evaluation"
+        "extension: Good (1953) estimate of the true mass on states seen "
+        "fewer than tau times; equals the plugin estimate at tau+1"
     ),
 }
 
@@ -166,30 +171,21 @@ def blind_spot_mass(table: CountTable, dist: EmpiricalDistribution, tau) -> floa
     return math.fsum(p for key, p in dist.probs.items() if table.count(key) < tau)
 
 
-def _cumulative_numerators(f: Mapping[int, int], tau_max: int) -> list[int]:
-    # nums[i] = sum_{r<=i} r*f_r, exact integers; plugin numerator at tau is
-    # nums[tau-1], generalized-gt numerator at tau is nums[tau]
-    nums = [0] * (tau_max + 1)
-    acc = 0
-    for i in range(1, tau_max + 1):
-        acc += i * f.get(i, 0)
-        nums[i] = acc
-    return nums
+def _mass(below: Callable[[int], int], tau: int, f1: int, n: int, mode: str) -> float:
+    """Blind mass at ``tau`` from ``below(t)``, the integer sum_{r<t} r*f_r."""
+    if mode == MODE_GENERALIZED_GT:
+        return below(tau + 1) / n
+    if mode == MODE_PLUGIN_UNSEEN:
+        return min(1.0, (below(tau) + f1) / n)
+    return below(tau) / n
 
 
 def mass_estimate(fof: FreqOfFreqs, tau, mode: str = MODE_PLUGIN) -> float:
     """Single-threshold blind-mass estimate from a frequency-of-frequencies."""
     tau = _check_tau(tau)
     _check_mode(mode)
-    n = fof.n
-    if mode == MODE_PLUGIN:
-        num = sum(r * fr for r, fr in fof.f.items() if r < tau)
-        return num / n
-    if mode == MODE_PLUGIN_UNSEEN:
-        num = sum(r * fr for r, fr in fof.f.items() if r < tau)
-        return min(1.0, (num + fof.singletons) / n)
-    num = sum(r * fr for r, fr in fof.f.items() if r <= tau)
-    return num / n
+    below = lambda t: sum(r * fr for r, fr in fof.f.items() if r < t)  # noqa: E731
+    return _mass(below, tau, fof.singletons, fof.n, mode)
 
 
 def blind_spot_curve(table: CountTable, tau_max, mode: str = MODE_PLUGIN) -> BlindSpotCurve:
@@ -200,21 +196,13 @@ def blind_spot_curve(table: CountTable, tau_max, mode: str = MODE_PLUGIN) -> Bli
 def curve_from_freqs(fof: FreqOfFreqs, tau_max, mode: str = MODE_PLUGIN) -> BlindSpotCurve:
     tau_max = _check_tau(tau_max)
     _check_mode(mode)
-    n = fof.n
-    nums = _cumulative_numerators(fof.f, tau_max)
-    f1 = fof.singletons
-    points = []
-    for tau in range(1, tau_max + 1):
-        if mode == MODE_PLUGIN:
-            mass = nums[tau - 1] / n
-        elif mode == MODE_PLUGIN_UNSEEN:
-            mass = min(1.0, (nums[tau - 1] + f1) / n)
-        else:
-            mass = nums[tau] / n
-        points.append((tau, mass))
-    return BlindSpotCurve(
-        points=tuple(points), estimator_mode=mode, n=n, k_observed=fof.k_observed
+    # below[t] = sum_{r<t} r*f_r for t = 0..tau_max+1
+    below = list(accumulate((r * fof.f.get(r, 0) for r in range(tau_max + 1)), initial=0))
+    points = tuple(
+        (tau, _mass(below.__getitem__, tau, fof.singletons, fof.n, mode))
+        for tau in range(1, tau_max + 1)
     )
+    return BlindSpotCurve(points=points, estimator_mode=mode, n=fof.n, k_observed=fof.k_observed)
 
 
 def good_turing_unseen_mass(fof: FreqOfFreqs) -> float:

@@ -137,13 +137,19 @@ class TestCurves:
             assert all(b >= a for a, b in zip(masses, masses[1:]))
         assert all(u >= p for p, u in zip(plugin.masses, unseen.masses))
 
-    def test_generalized_mode_shifts_the_plugin_numerator(self):
-        table = table_of({"a": 2, "b": 4, "c": 1, "d": 1})
-        fof = freq_of_freqs(table)
-        for tau in range(1, 6):
-            assert mass_estimate(fof, tau, MODE_GENERALIZED_GT) == pytest.approx(
-                mass_estimate(fof, tau + 1, MODE_PLUGIN), abs=1e-15
-            )
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=35),
+    )
+    def test_generalized_mode_shifts_the_plugin_numerator(self, counts, tau):
+        # Good's estimate sum_{r<tau} (r+1) f_{r+1} / n is the plugin at tau+1,
+        # exactly; single-threshold and curve evaluation agree in every mode
+        fof = freq_of_freqs(table_of({f"v{i}": c for i, c in enumerate(counts)}))
+        assert mass_estimate(fof, tau, MODE_GENERALIZED_GT) == mass_estimate(fof, tau + 1, MODE_PLUGIN)
+        curves = {m: curve_from_freqs(fof, tau + 1, m) for m in ESTIMATOR_MODES}
+        assert curves[MODE_GENERALIZED_GT].mass_at(tau) == curves[MODE_PLUGIN].mass_at(tau + 1)
+        for mode, curve in curves.items():
+            assert mass_estimate(fof, tau, mode) == curve.mass_at(tau)
 
     def test_curve_constructor_rejects_bad_shapes(self):
         with pytest.raises(InputError):
