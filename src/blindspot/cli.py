@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -41,6 +42,7 @@ from .ingest import (
     ingest_pamap2,
     ingest_samples_csv,
     read_abstraction_config,
+    read_class_accuracies,
     read_counts_file,
     read_risk_weights,
     read_samples_file,
@@ -51,14 +53,20 @@ from .report import (
     TOOL_VERSION,
     build_report,
     bundle_to_json,
+    decomposition_obj,
     format_float,
     render_json,
     support_histogram,
+    sweep_to_json,
     write_csv_rows,
 )
 from .simulator import run_sweep
 
 __all__ = ["main", "run", "UsageError"]
+
+
+# undecodable text and corrupt or truncated .gz files are bad input, not bugs
+_BAD_INPUT = (InputError, OSError, UnicodeDecodeError, EOFError, zlib.error)
 
 
 class UsageError(Exception):
@@ -74,54 +82,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _checked(parse, ok, rule: str, keep: tuple[str, ...] = ()):
+    """argparse type: parse the text, then require ``ok(value)``; words in
+    ``keep`` pass through unparsed."""
+    what = "an integer" if parse is int else "a number"
+
+    def convert(text: str):
+        if text in keep:
+            return text
+        try:
+            v = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {v}")
+        return v
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
-    return v
-
-
-def _unit_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {v}")
-    return v
-
-
-def _fraction(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < v <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {v}")
-    return v
-
-
-def _open_interval_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {v}")
-    return v
+_positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
+_positive_float = _checked(float, lambda v: v > 0.0, "be > 0")
+_unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+_open_interval_float = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
+_unit_float_or_chance = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]", keep=("chance",))
 
 
 @contextmanager
@@ -131,6 +116,11 @@ def _out_stream(path):
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _dedupe_modes(modes) -> tuple[str, ...]:
@@ -240,8 +230,7 @@ def _cmd_curve(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv_rows(fh, ("tau", "mode", "mass"), rows)
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8", newline="") as fh:
-            fh.write(bundle_to_json(bundle))
+        _write_text(args.json, bundle_to_json(bundle))
     return 0
 
 
@@ -249,16 +238,12 @@ def _cmd_decompose(args) -> int:
     table = _load_table(args)
     if args.weights is not None:
         weights = read_risk_weights(args.weights, table.schema)
-        total, decomp = risk_weighted_blindness(
+        _, decomp = risk_weighted_blindness(
             table, plug_in_distribution(table), weights, args.tau
         )
-        entries = decomp.entries
-        if args.top_k is not None:
-            entries = entries[: args.top_k]
     else:
-        decomp = blindness_decomposition(table, args.tau, top_k=args.top_k)
-        total = decomp.total
-        entries = decomp.entries
+        decomp = blindness_decomposition(table, args.tau)
+    decomp = replace(decomp, entries=decomp.entries[: args.top_k])
     rows = [
         (
             e.state.serialize(),
@@ -267,45 +252,22 @@ def _cmd_decompose(args) -> int:
             format_float(e.weight),
             format_float(e.contribution),
         )
-        for e in entries
+        for e in decomp.entries
     ]
     with _out_stream(args.out) as fh:
         write_csv_rows(fh, ("state", "count", "prob", "weight", "contribution"), rows)
     if args.json is not None:
-        doc = {
-            "tau": decomp.tau,
-            "total": total,
-            "entries": [
-                {
-                    "state": e.state.serialize(),
-                    "count": e.count,
-                    "prob": e.prob,
-                    "weight": e.weight,
-                    "contribution": e.contribution,
-                }
-                for e in entries
-            ],
-        }
-        with open(args.json, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_json(doc) + "\n")
+        _write_text(args.json, render_json(decomposition_obj(decomp)) + "\n")
     return 0
 
 
 def _cmd_ceiling(args) -> int:
     table = _load_table(args)
-    if args.blind_accuracy == "chance":
+    a = args.blind_accuracy
+    if a == "chance":
         if args.classes is None:
             raise UsageError("--blind-accuracy chance needs --classes")
         a = chance_accuracy(args.classes)
-    else:
-        try:
-            a = float(args.blind_accuracy)
-        except ValueError:
-            raise UsageError(
-                f"--blind-accuracy must be a number in [0, 1] or 'chance', got {args.blind_accuracy!r}"
-            ) from None
-        if not 0.0 <= a <= 1.0:
-            raise UsageError(f"--blind-accuracy must lie in [0, 1], got {a}")
     curve = blind_spot_curve(table, args.tau_max, mode=args.mode)
     ceil = ceiling_curve(curve, a)
     rows = [(tau, format_float(b), format_float(c)) for tau, b, c in ceil.points]
@@ -323,45 +285,25 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_wilson(args) -> int:
-    import csv as _csv
-
-    rows_out = []
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{args.input}: empty file (missing header)")
-        lowered = {name.lower().strip(): name for name in reader.fieldnames}
-        missing = [c for c in ("class", "successes", "trials") if c not in lowered]
-        if missing:
-            raise InputError(
-                f"{args.input}: missing column(s) {missing}; header has {reader.fieldnames}"
+    rows = []
+    for lineno, label, s, t in read_class_accuracies(args.input):
+        try:
+            lower, upper = wilson_interval(s, t, args.confidence)
+        except InputError as exc:
+            raise InputError(f"{args.input}: line {lineno}: {exc}") from None
+        rows.append(
+            (
+                label,
+                s,
+                t,
+                format_float(s / t),
+                format_float(lower),
+                format_float(upper),
             )
-        for lineno, row in enumerate(reader, 2):
-            label = (row[lowered["class"]] or "").strip()
-            try:
-                s = int((row[lowered["successes"]] or "").strip())
-                t = int((row[lowered["trials"]] or "").strip())
-            except ValueError:
-                raise InputError(
-                    f"{args.input}: line {lineno}: successes and trials must be integers"
-                ) from None
-            try:
-                lower, upper = wilson_interval(s, t, args.confidence)
-            except InputError as exc:
-                raise InputError(f"{args.input}: line {lineno}: {exc}") from None
-            rows_out.append(
-                (
-                    label,
-                    s,
-                    t,
-                    format_float(s / t),
-                    format_float(lower),
-                    format_float(upper),
-                )
-            )
+        )
     with _out_stream(args.out) as fh:
         write_csv_rows(
-            fh, ("class", "successes", "trials", "p_hat", "lower", "upper"), rows_out
+            fh, ("class", "successes", "trials", "p_hat", "lower", "upper"), rows
         )
     return 0
 
@@ -399,35 +341,7 @@ def _cmd_simulate(args) -> int:
         write_csv_rows(fh, header, rows)
 
     if args.json is not None:
-        doc = {
-            "tool_version": TOOL_VERSION,
-            "generator": result.generator,
-            "master_seed": result.master_seed,
-            "trials": result.trials,
-            "cells": [
-                {
-                    "family": cs.cell.family,
-                    "params": dict(cs.cell.params),
-                    "K": cs.cell.size,
-                    "n": cs.cell.n,
-                    "tau": cs.cell.tau,
-                    "true_mean": cs.true_mean,
-                    "true_std": cs.true_std,
-                    "estimates": [
-                        {
-                            "mode": m.mode,
-                            "mean": m.mean,
-                            "std": m.std,
-                            "mean_abs_error": m.mean_abs_error,
-                        }
-                        for m in cs.estimates
-                    ],
-                }
-                for cs in result.cells
-            ],
-        }
-        with open(args.json, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_json(doc) + "\n")
+        _write_text(args.json, sweep_to_json(result))
     return 0
 
 
@@ -507,7 +421,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ceiling", help="accuracy ceiling implied by the blind-spot curve")
     _add_table_source(p)
     p.add_argument("--tau-max", type=_positive_int, required=True, help="largest threshold to evaluate")
-    p.add_argument("--blind-accuracy", default="0",
+    p.add_argument("--blind-accuracy", type=_unit_float_or_chance, default="0",
                    help="assumed accuracy on blind states: a number in [0, 1] or 'chance'")
     p.add_argument("--classes", type=_positive_int, help="class count backing 'chance'")
     p.add_argument("--mode", choices=ESTIMATOR_MODES, default=MODE_PLUGIN,
@@ -568,7 +482,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"blindspot: error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, OSError) as exc:
+    except _BAD_INPUT as exc:
         print(f"blindspot: error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

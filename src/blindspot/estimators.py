@@ -184,7 +184,10 @@ def mass_estimate(fof: FreqOfFreqs, tau, mode: str = MODE_PLUGIN) -> float:
     """Single-threshold blind-mass estimate from a frequency-of-frequencies."""
     tau = _check_tau(tau)
     _check_mode(mode)
-    below = lambda t: sum(r * fr for r, fr in fof.f.items() if r < t)  # noqa: E731
+
+    def below(t: int) -> int:
+        return sum(r * fr for r, fr in fof.f.items() if r < t)
+
     return _mass(below, tau, fof.singletons, fof.n, mode)
 
 

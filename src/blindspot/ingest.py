@@ -9,6 +9,7 @@ Formats owned here:
 * risk-weights text: ``<state><TAB><weight>`` lines where the state is either
   the canonical ``name=value|name=value`` form or bare ``value|value`` matched
   to the schema positionally; a ``*`` line sets the default weight
+* per-class accuracy CSV: ``class,successes,trials`` columns
 * key=value config text (abstraction configs, sweep specs); ``#`` lines are
   comments
 * raw 54-column IMU recordings (whitespace separated, ``NaN`` literals)
@@ -47,6 +48,7 @@ __all__ = [
     "write_samples_file",
     "read_counts_file",
     "read_risk_weights",
+    "read_class_accuracies",
     "read_kv_file",
     "read_abstraction_config",
     "write_abstraction_config",
@@ -263,6 +265,37 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
                 raise InputError(f"{path}: line {lineno}: duplicate weight for {key.serialize()!r}")
             weights[key] = w
     return RiskWeights(weights=weights, default_weight=1.0 if default is None else default)
+
+
+# ---------------------------------------------------------------------------
+# per-class accuracy counts
+
+
+def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
+    """``class,successes,trials`` CSV (column names case-insensitive) as
+    (line number, class, successes, trials) rows; ranges are the caller's."""
+    rows = []
+    with _open_text(path) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise InputError(f"{path}: empty file (missing header)")
+        lowered = {name.lower().strip(): name for name in reader.fieldnames}
+        missing = [c for c in ("class", "successes", "trials") if c not in lowered]
+        if missing:
+            raise InputError(
+                f"{path}: missing column(s) {missing}; header has {reader.fieldnames}"
+            )
+        for lineno, row in enumerate(reader, 2):
+            label = (row[lowered["class"]] or "").strip()
+            try:
+                s = int((row[lowered["successes"]] or "").strip())
+                t = int((row[lowered["trials"]] or "").strip())
+            except ValueError:
+                raise InputError(
+                    f"{path}: line {lineno}: successes and trials must be integers"
+                ) from None
+            rows.append((lineno, label, s, t))
+    return rows
 
 
 # ---------------------------------------------------------------------------

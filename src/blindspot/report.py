@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractionConfig
-from .counts import CountTable, StateKey
+from .counts import CountTable, StateKey, freq_of_freqs
 from .errors import InputError, InvariantViolation
 from .estimators import (
     EXTENSION_MODE_NOTES,
@@ -26,7 +27,7 @@ from .estimators import (
     ceiling_curve,
     mass_estimate,
 )
-from .counts import freq_of_freqs
+from .simulator import SweepResult
 
 __all__ = [
     "TOOL_VERSION",
@@ -35,6 +36,8 @@ __all__ = [
     "build_report",
     "render_json",
     "bundle_to_json",
+    "decomposition_obj",
+    "sweep_to_json",
     "format_float",
     "write_csv_rows",
 ]
@@ -135,7 +138,8 @@ def _render_float(x: float) -> str:
 
 
 def render_json(value) -> str:
-    """Compact JSON with insertion-ordered objects and ``.17g`` floats."""
+    """Compact JSON with insertion-ordered objects and ``.17g`` floats.
+    Strings are escaped as ``json.dumps(..., ensure_ascii=False)`` does."""
     if value is None:
         return "null"
     if value is True:
@@ -143,30 +147,13 @@ def render_json(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\r":
-                out.append("\\r")
-            elif ch == "\t":
-                out.append("\\t")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return encode_basestring(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         return _render_float(value)
     if isinstance(value, Mapping):
-        items = (f"{render_json(str(k))}:{render_json(v)}" for k, v in value.items())
+        items = (f"{encode_basestring(str(k))}:{render_json(v)}" for k, v in value.items())
         return "{" + ",".join(items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(render_json(v) for v in value) + "]"
@@ -182,7 +169,7 @@ def _curve_obj(curve: BlindSpotCurve) -> dict:
     }
 
 
-def _decomposition_obj(d: BlindnessDecomposition) -> dict:
+def decomposition_obj(d: BlindnessDecomposition) -> dict:
     return {
         "tau": d.tau,
         "total": d.total,
@@ -203,7 +190,7 @@ def bundle_to_json(bundle: ReportBundle) -> str:
     doc = {
         "metadata": bundle.metadata,
         "curves": [_curve_obj(c) for c in bundle.curves],
-        "decompositions": [_decomposition_obj(d) for d in bundle.decompositions],
+        "decompositions": [decomposition_obj(d) for d in bundle.decompositions],
         "ceiling": {
             "assumed_blind_accuracy": bundle.ceiling.assumed_blind_accuracy,
             "points": [
@@ -212,6 +199,37 @@ def bundle_to_json(bundle: ReportBundle) -> str:
         },
         "histogram": [
             {"state": key.serialize(), "count": count} for key, count in bundle.histogram
+        ],
+    }
+    return render_json(doc) + "\n"
+
+
+def sweep_to_json(result: SweepResult) -> str:
+    doc = {
+        "tool_version": TOOL_VERSION,
+        "generator": result.generator,
+        "master_seed": result.master_seed,
+        "trials": result.trials,
+        "cells": [
+            {
+                "family": cs.cell.family,
+                "params": dict(cs.cell.params),
+                "K": cs.cell.size,
+                "n": cs.cell.n,
+                "tau": cs.cell.tau,
+                "true_mean": cs.true_mean,
+                "true_std": cs.true_std,
+                "estimates": [
+                    {
+                        "mode": m.mode,
+                        "mean": m.mean,
+                        "std": m.std,
+                        "mean_abs_error": m.mean_abs_error,
+                    }
+                    for m in cs.estimates
+                ],
+            }
+            for cs in result.cells
         ],
     }
     return render_json(doc) + "\n"

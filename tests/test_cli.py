@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main()."""
 
 import csv
+import gzip
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from conftest import DATA_DIR
 COUNTS = str(DATA_DIR / "activity_counts.csv")
 WEIGHTS = str(DATA_DIR / "activity_weights.tsv")
 SWEEP = str(DATA_DIR / "sweep_small.txt")
+PAMAP2 = str(DATA_DIR.parent / "golden" / "inputs" / "subject101.dat")
 
 
 def rows_of(text):
@@ -91,6 +93,42 @@ class TestExitCodes:
         bad = tmp_path / "acc.csv"
         bad.write_text("class,wins,games\nx,1,2\n")
         assert main(["wilson", "--input", str(bad)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["histogram", "--samples", "{bad}"],
+            ["histogram", "--counts", "{bad}"],
+            ["histogram", "--counts", "{bad}.gz"],
+            ["decompose", "--counts", COUNTS, "--tau", "150", "--weights", "{bad}"],
+            ["wilson", "--input", "{bad}"],
+            ["simulate", "--spec", "{bad}"],
+            ["ingest", "--samples-csv", "{bad}", "--key-columns", "activity"],
+            ["ingest", "--diagnoses", "{bad}"],
+            ["ingest", "--pamap2", "{bad}", "--subjects", "101"],
+            ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--config", "{bad}"],
+        ],
+    )
+    def test_undecodable_input_exits_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "subject101.dat"  # the pamap2 reader wants a subject id in the name
+        bad.write_bytes(b"activity,count\n\xff\xfe,1\n")
+        (tmp_path / "subject101.dat.gz").write_bytes(gzip.compress(bad.read_bytes()))
+        assert main([arg.format(bad=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "codec can't decode" in captured.err
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_gzip_exits_2(self, capsys, tmp_path, damage):
+        body = bytearray(gzip.compress(b"activity,count\n" + b"".join(b"s%d,%d\n" % (i, i + 1) for i in range(300))))
+        if damage == "truncate":
+            del body[-20:]
+        else:
+            body[30] ^= 0x55
+        path = tmp_path / "counts.csv.gz"
+        path.write_bytes(bytes(body))
+        assert main(["histogram", "--counts", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
     def test_help_exits_0(self, capsys):
@@ -230,6 +268,17 @@ class TestWilson:
         main(["wilson", "--input", str(acc), "--confidence", "0.5"])
         narrow = rows_of(capsys.readouterr().out)[1]
         assert float(narrow[5]) - float(narrow[4]) < float(wide[5]) - float(wide[4])
+
+
+    def test_gzipped_input_matches_plain(self, capsys, tmp_path):
+        text = b"class,successes,trials\nx,10,20\ny,3,4\n"
+        plain, packed = tmp_path / "acc.csv", tmp_path / "acc.csv.gz"
+        plain.write_bytes(text)
+        packed.write_bytes(gzip.compress(text))
+        assert main(["wilson", "--input", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["wilson", "--input", str(packed)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSimulate:

@@ -40,9 +40,10 @@ class TestRenderJson:
         assert render_json(7) == "7"
 
     def test_string_escaping(self):
-        s = 'a"b\\c\nd\te\x01f'
+        s = 'a"b\\c\nd\te\x01f\x08g\x0ch'
         assert json.loads(render_json(s)) == s
         assert "\\u0001" in render_json(s)
+        assert json.loads(render_json({s: s})) == {s: s}
 
     def test_mapping_preserves_insertion_order(self):
         doc = {"z": 1, "a": [2, 3], "m": {"k": None}}
