@@ -205,7 +205,9 @@ def curve_from_freqs(fof: FreqOfFreqs, tau_max, mode: str = MODE_PLUGIN) -> Blin
         (tau, _mass(below.__getitem__, tau, fof.singletons, fof.n, mode))
         for tau in range(1, tau_max + 1)
     )
-    return BlindSpotCurve(points=points, estimator_mode=mode, n=fof.n, k_observed=fof.k_observed)
+    return BlindSpotCurve(
+        points=points, estimator_mode=mode, n=fof.n, k_observed=fof.k_observed
+    )
 
 
 def good_turing_unseen_mass(fof: FreqOfFreqs) -> float:

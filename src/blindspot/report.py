@@ -170,6 +170,7 @@ def _curve_obj(curve: BlindSpotCurve) -> dict:
 
 
 def decomposition_obj(d: BlindnessDecomposition) -> dict:
+    """JSON layout of one decomposition, for ``render_json``."""
     return {
         "tau": d.tau,
         "total": d.total,
@@ -205,6 +206,7 @@ def bundle_to_json(bundle: ReportBundle) -> str:
 
 
 def sweep_to_json(result: SweepResult) -> str:
+    """The ``simulate --json`` document."""
     doc = {
         "tool_version": TOOL_VERSION,
         "generator": result.generator,
