@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import zlib
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -65,8 +64,9 @@ from .simulator import run_sweep
 __all__ = ["main", "run", "UsageError"]
 
 
-# undecodable text and corrupt or truncated .gz files are bad input, not bugs
-_BAD_INPUT = (InputError, OSError, UnicodeDecodeError, EOFError, zlib.error)
+# the readers in ingest.py re-raise undecodable text, unparsable CSV and
+# corrupt or truncated .gz files as InputError naming the file
+_BAD_INPUT = (InputError, OSError)
 
 
 class UsageError(Exception):

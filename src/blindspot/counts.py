@@ -276,20 +276,35 @@ def build_count_table(samples: Iterable["StateKey"], schema: Sequence[str]) -> C
     Every sample must carry exactly the factors named by ``schema``, in order;
     the first offending sample is reported by index.  An empty sequence is
     rejected: with n=0 every downstream estimate is undefined.
+
+    Equal rows may share one ``StateKey`` object, as ``read_samples_file``
+    returns them.  Each row is hashed once, at C level; the checks run once
+    per distinct key, and the rows are walked again only to name the first
+    bad one.  Memory grows with the distinct states, plus one pointer per row
+    when ``samples`` is not already a list or tuple.
     """
     schema = _check_schema(schema)
-    counts: dict[StateKey, int] = {}
-    n = 0
+    if not isinstance(samples, (list, tuple)):
+        samples = list(samples)
+    try:
+        counts = Counter(samples)
+    except TypeError:  # an unhashable sample
+        _raise_first_bad_sample(samples, schema)
+        raise
+    for key in counts:
+        if not isinstance(key, StateKey) or key.names != schema:
+            _raise_first_bad_sample(samples, schema)
+    if not counts:
+        raise InputError("no samples given: a count table needs at least one observation")
+    return CountTable(counts=counts, n=len(samples), schema=schema)
+
+
+def _raise_first_bad_sample(samples: Sequence, schema: tuple[str, ...]):
     for i, key in enumerate(samples):
         if not isinstance(key, StateKey):
             raise InputError(f"sample {i} is not a StateKey (got {type(key).__name__})")
         if key.names != schema:
             _raise_sample_mismatch(i, key, schema)
-        counts[key] = counts.get(key, 0) + 1
-        n += 1
-    if n == 0:
-        raise InputError("no samples given: a count table needs at least one observation")
-    return CountTable(counts=counts, n=n, schema=schema)
 
 
 def _raise_sample_mismatch(i: int, key: StateKey, schema: tuple[str, ...]):

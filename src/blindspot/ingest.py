@@ -25,6 +25,8 @@ import logging
 import math
 import re
 import warnings
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -114,11 +116,21 @@ class IngestionSummary:
         return out
 
 
-def _open_text(path, mode="rt"):
-    path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8", newline="")
-    return open(path, mode, encoding="utf-8", newline="")
+@contextmanager
+def _naming_path(path):
+    """Re-raise what a damaged or undecodable file throws as an
+    ``InputError`` that names the file."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _open_text(path):
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with _naming_path(path), opener(path, "rt", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +155,13 @@ def _write_samples(fh, samples: Iterable[StateKey], schema: Sequence[str]) -> No
 
 
 def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
+    """Read a canonical samples CSV into one ``StateKey`` per row, in file
+    order, and the schema named by its header.
+
+    Equal rows share one key object: a key is built and validated the first
+    time its row appears, so memory grows with the distinct states plus one
+    pointer per row.  Errors name the line of the first row that shows them.
+    """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -157,16 +176,22 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
                 )
             schema.append(col[len(_FACTOR_PREFIX):])
         schema = tuple(schema)
+        width = len(schema)
+        keys: dict[tuple[str, ...], StateKey] = {}
         samples = []
         for lineno, row in enumerate(reader, 2):
-            if len(row) != len(schema):
+            if len(row) != width:
                 raise InputError(
-                    f"{path}: line {lineno}: expected {len(schema)} fields, found {len(row)}"
+                    f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
                 )
-            try:
-                samples.append(StateKey.from_values(schema, row))
-            except InputError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+            row = tuple(row)
+            key = keys.get(row)
+            if key is None:
+                try:
+                    key = keys[row] = StateKey.from_values(schema, row)
+                except InputError as exc:
+                    raise InputError(f"{path}: line {lineno}: {exc}") from None
+            samples.append(key)
     return samples, schema
 
 
@@ -557,7 +582,7 @@ _SAMPLE_RATE_HZ = 100.0
 
 def _scan_raw_file(path) -> None:
     # slow diagnostic pass, run only after the fast parser failed
-    with open(path, encoding="utf-8") as fh:
+    with _naming_path(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens:
@@ -592,7 +617,7 @@ def _forward_fill(block: np.ndarray) -> None:
 
 def _parse_raw_file(path, base: int, summary: IngestionSummary):
     try:
-        with warnings.catch_warnings():
+        with _naming_path(path), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty files warn; they parse to no rows
             data = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:

@@ -118,6 +118,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "codec can't decode" in captured.err
+        named = next(arg.format(bad=bad) for arg in argv if "{bad}" in arg)
+        assert f"blindspot: error: {named}: " in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--samples", 'factor:a\nx\n"{big}"\n'), ("--counts", 'a,count\nx,1\n"{big}",2\n')],
+        ids=["samples", "counts"],
+    )
+    def test_oversized_csv_field_exits_2(self, capsys, tmp_path, flag, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big="x" * 200_000))
+        assert main(["histogram", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"blindspot: error: {path}: field larger than field limit" in captured.err
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_damaged_gzip_exits_2(self, capsys, tmp_path, damage):

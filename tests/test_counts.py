@@ -122,6 +122,41 @@ class TestCountTable:
         with pytest.raises(InputError, match="sample 0"):
             build_count_table(samples, ("s",))
 
+    @given(
+        st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)), max_size=60),
+        st.booleans(),
+    )
+    def test_build_matches_per_row_reference(self, rows, as_generator):
+        # fresh key objects per row, so equal states arrive as distinct objects
+        samples = [StateKey.from_values(("a", "b"), row) for row in rows]
+        reference: dict[StateKey, int] = {}
+        for k in samples:
+            reference[k] = reference.get(k, 0) + 1
+        source = (k for k in samples) if as_generator else samples
+        if not samples:
+            with pytest.raises(InputError, match="no samples"):
+                build_count_table(source, ("a", "b"))
+            return
+        table = build_count_table(source, ("a", "b"))
+        assert list(table.counts.items()) == list(reference.items())
+        assert table.n == len(samples)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("s=c", "sample 3 is not a StateKey (got str)"),
+            (["s", "c"], "sample 3 is not a StateKey (got list)"),
+            (key(t="c"), "sample 3: factor 't' at position 0 does not match schema factor 's'"),
+        ],
+    )
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_first_bad_sample_named_exactly(self, bad, message, as_generator):
+        samples = [key(s="a"), key(s="b"), key(s="a"), bad, key(s="b")]
+        source = iter(samples) if as_generator else samples
+        with pytest.raises(InputError) as exc:
+            build_count_table(source, ("s",))
+        assert str(exc.value) == message
+
     def test_empty_samples_rejected(self):
         with pytest.raises(InputError):
             build_count_table([], ("s",))

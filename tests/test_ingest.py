@@ -76,6 +76,26 @@ class TestSamplesFile:
         with pytest.raises(InputError, match="line 2"):
             read_samples_file(path)
 
+    def test_equal_rows_share_one_key(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("factor:a,factor:b\n1,x\n2,y\n1,x\n1,x\n")
+        back, _ = read_samples_file(path)
+        assert back == [key(a="1", b="x"), key(a="2", b="y"), key(a="1", b="x"), key(a="1", b="x")]
+        assert back[0] is back[2] is back[3]
+        assert back[0] is not back[1]
+
+    def test_repeated_bad_value_reported_at_first_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('factor:a\nok\n"x|y"\nok\nfine\nok\n"x|y"\n')
+        with pytest.raises(InputError, match=r"line 3: factor value may not contain '\|'"):
+            read_samples_file(path)
+
+    def test_field_count_error_before_bad_value_wins(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('factor:a,factor:b\n1,x\n2,y\n3\n"x|y",z\n')
+        with pytest.raises(InputError, match="line 4: expected 2 fields, found 1"):
+            read_samples_file(path)
+
 
 class TestCountsFile:
     def test_reference_fixture(self):
