@@ -377,21 +377,21 @@ def fit_edges(
 
 def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey:
     """Map a window to its operational state under ``config``."""
-    pairs = []
+    values = []
     for factor in config.factors:
         if factor == FACTOR_ACTIVITY:
-            pairs.append((FACTOR_ACTIVITY, window.label))
+            values.append(window.label)
         elif factor == FACTOR_TILT:
-            pairs.append((FACTOR_TILT, tilt_bin(window, config.tilt_bins)))
+            values.append(tilt_bin(window, config.tilt_bins))
         elif factor == FACTOR_ENERGY:
             if config.energy_edges is None:
                 raise InputError("energy factor enabled but energy_edges not fitted")
-            pairs.append((FACTOR_ENERGY, energy_bin(gyro_energy(window), config.energy_edges)))
+            values.append(energy_bin(gyro_energy(window), config.energy_edges))
         else:
             if config.rate_edges is None:
                 raise InputError("rate factor enabled but rate_edges not fitted")
-            pairs.append((FACTOR_RATE, energy_bin(mean_angular_rate(window), config.rate_edges)))
-    return StateKey(tuple(pairs))
+            values.append(energy_bin(mean_angular_rate(window), config.rate_edges))
+    return StateKey(config.factors, values)
 
 
 @dataclass(frozen=True)
@@ -416,7 +416,7 @@ def icd_prefix_state(admission: AdmissionRecord, prefix_len: int = 4) -> StateKe
                 raise MissingPrimaryDiagnosis(
                     f"admission {admission.admission_id!r}: sequence-1 diagnosis code is empty"
                 )
-            return StateKey((("icd4", code[:prefix_len]),))
+            return StateKey(("icd4",), (code[:prefix_len],))
     raise MissingPrimaryDiagnosis(
         f"admission {admission.admission_id!r} has no sequence-1 diagnosis"
     )

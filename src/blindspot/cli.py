@@ -45,7 +45,6 @@ from .ingest import (
     read_counts_file,
     read_risk_weights,
     read_samples_file,
-    read_sweep_spec,
     write_abstraction_config,
 )
 from .report import (
@@ -59,7 +58,7 @@ from .report import (
     sweep_to_json,
     write_csv_rows,
 )
-from .simulator import run_sweep
+from .simulator import read_sweep_spec, run_sweep
 
 __all__ = ["main", "run", "UsageError"]
 

@@ -1,9 +1,11 @@
 """Count structures over an operational state space.
 
-A state is an ordered tuple of named categorical factors.  Tables keep exact
-integer counts and store only observed states, so the frequency-of-frequencies
-identities hold without floating-point slack; probabilities appear only in
-derived empirical distributions.
+A state is one categorical value per factor of a fixed schema: a
+``StateKey`` holds the schema's names tuple, shared by every key read under
+it, and a tuple of values.  Tables keep exact integer counts and store only
+observed states, so the frequency-of-frequencies identities hold without
+floating-point slack; probabilities appear only in derived empirical
+distributions.
 """
 
 from __future__ import annotations
@@ -70,85 +72,70 @@ def _coerce_value(value) -> str:
 
 @dataclass(frozen=True)
 class StateKey:
-    """One operational state: an ordered tuple of (factor name, value) pairs.
+    """One operational state: a value for each factor of a schema.
 
+    ``names`` is the schema, ``values`` the matching factor values, in the
+    same order; keys order lexicographically on ``values``.  The names tuple
+    is stored as given, so keys built from one schema tuple share it.
     Factor names and values may not contain ``=``, ``|``, tabs, or newlines,
     which keeps the ``name=value|name=value`` serialization reversible.
     """
 
-    factors: tuple[tuple[str, str], ...]
+    names: tuple[str, ...]
+    values: tuple[str, ...]
 
     def __post_init__(self):
-        pairs = []
-        for pair in self.factors:
-            try:
-                name, value = pair
-            except (TypeError, ValueError):
-                raise InputError(f"factor entry must be a (name, value) pair: {pair!r}") from None
-            pairs.append((_clean_token(name, "factor name"), _coerce_value(value)))
-        if not pairs:
-            raise InputError("a state key needs at least one factor")
-        names = [n for n, _ in pairs]
-        if len(set(names)) != len(names):
-            raise InputError(f"duplicate factor names in state key: {names}")
-        object.__setattr__(self, "factors", tuple(pairs))
-
-    @classmethod
-    def from_values(cls, schema: Sequence[str], values: Sequence) -> "StateKey":
-        if len(schema) != len(values):
+        names = _check_schema(self.names)
+        if isinstance(self.values, str):
+            raise InputError("factor values must be a sequence of values, not a single string")
+        values = tuple(map(_coerce_value, self.values))
+        if len(values) != len(names):
             raise InputError(
-                f"expected {len(schema)} factor values for schema {tuple(schema)}, got {len(values)}"
+                f"expected {len(names)} factor values for schema {names}, got {len(values)}"
             )
-        return cls(tuple(zip(schema, values)))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.factors)
-
-    @property
-    def values(self) -> tuple[str, ...]:
-        return tuple(v for _, v in self.factors)
-
-    @property
-    def sort_key(self) -> tuple[str, ...]:
-        """Deterministic ordering: lexicographic on factor values."""
-        return self.values
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", values)
 
     def value_of(self, name: str) -> str:
-        for n, v in self.factors:
-            if n == name:
-                return v
-        raise InputError(f"state key has no factor named {name!r}")
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            raise InputError(f"state key has no factor named {name!r}") from None
 
     def project(self, names: Sequence[str]) -> "StateKey":
-        return StateKey(tuple((n, self.value_of(n)) for n in names))
+        return StateKey(names, [self.value_of(n) for n in names])
 
     def serialize(self) -> str:
-        return "|".join(f"{n}={v}" for n, v in self.factors)
+        return "|".join(f"{n}={v}" for n, v in zip(self.names, self.values))
 
     @classmethod
     def parse(cls, text: str) -> "StateKey":
-        pairs = []
+        names, values = [], []
         for part in text.split("|"):
             name, sep, value = part.partition("=")
             if not sep:
                 raise InputError(f"bad state key field {part!r} in {text!r} (expected name=value)")
-            pairs.append((name, value))
-        return cls(tuple(pairs))
+            names.append(name)
+            values.append(value)
+        return cls(tuple(names), values)
 
     def __str__(self) -> str:
         return self.serialize()
 
 
 def _check_schema(schema) -> tuple[str, ...]:
+    """The one home of the factor-name rules; returns ``schema`` as a tuple,
+    the same object when it already is one."""
     if isinstance(schema, str):
         raise InputError("schema must be a sequence of factor names, not a single string")
-    out = tuple(_clean_token(s, "factor name") for s in schema)
-    if not out:
+    schema = tuple(schema)
+    for name in schema:
+        _clean_token(name, "factor name")
+    if not schema:
         raise InputError("schema must name at least one factor")
-    if len(set(out)) != len(out):
-        raise InputError(f"schema has duplicate factor names: {list(out)}")
-    return out
+    if len(set(schema)) != len(schema):
+        raise InputError(f"schema has duplicate factor names: {list(schema)}")
+    return schema
 
 
 @dataclass(frozen=True)
@@ -203,7 +190,7 @@ class CountTable:
         return self.counts.get(key, 0)
 
     def sorted_items(self) -> list[tuple["StateKey", int]]:
-        return sorted(self.counts.items(), key=lambda kv: kv[0].sort_key)
+        return sorted(self.counts.items(), key=lambda kv: kv[0].values)
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,7 @@ class BlindnessDecomposition:
                 raise InputError(
                     f"decomposition entry {e.state.serialize()!r} has count {e.count} >= tau={self.tau}"
                 )
-            rank = (-e.contribution, e.state.sort_key)
+            rank = (-e.contribution, e.state.values)
             if prev is not None and rank < prev:
                 raise InputError("decomposition entries are not sorted")
             prev = rank
@@ -280,7 +280,7 @@ class BlindnessDecomposition:
 
 
 def _sort_entries(entries: Iterable[DecompositionEntry]) -> tuple[DecompositionEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: (-e.contribution, e.state.sort_key)))
+    return tuple(sorted(entries, key=lambda e: (-e.contribution, e.state.values)))
 
 
 def risk_weighted_blindness(

@@ -10,8 +10,8 @@ Formats owned here:
   the canonical ``name=value|name=value`` form or bare ``value|value`` matched
   to the schema positionally; a ``*`` line sets the default weight
 * per-class accuracy CSV: ``class,successes,trials`` columns
-* key=value config text (abstraction configs, sweep specs); ``#`` lines are
-  comments
+* key=value config text (abstraction configs; sweep specs are read by
+  ``simulator.read_sweep_spec``); ``#`` lines are comments
 * raw 54-column IMU recordings (whitespace separated, ``NaN`` literals)
 
 Paths ending in ``.gz`` are decompressed transparently on read.
@@ -37,7 +37,6 @@ from .abstraction import AbstractionConfig, AdmissionRecord, LabeledStream, icd_
 from .counts import CountTable, StateKey, build_count_table
 from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis
 from .estimators import RiskWeights
-from .simulator import SweepCell
 
 __all__ = [
     "IngestionSummary",
@@ -54,7 +53,6 @@ __all__ = [
     "read_kv_file",
     "read_abstraction_config",
     "write_abstraction_config",
-    "read_sweep_spec",
     "ingest_samples_csv",
     "ingest_diagnoses",
     "ingest_pamap2",
@@ -188,7 +186,7 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
             key = keys.get(row)
             if key is None:
                 try:
-                    key = keys[row] = StateKey.from_values(schema, row)
+                    key = keys[row] = StateKey(schema, row)
                 except InputError as exc:
                     raise InputError(f"{path}: line {lineno}: {exc}") from None
             samples.append(key)
@@ -224,7 +222,7 @@ def read_counts_file(path) -> CountTable:
                     f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
                 )
             try:
-                key = StateKey.from_values(schema, [v.strip() for v in row[:-1]])
+                key = StateKey(schema, [v.strip() for v in row[:-1]])
             except InputError as exc:
                 raise InputError(f"{path}: line {lineno}: {exc}") from None
             raw = row[-1].strip()
@@ -283,7 +281,7 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
                             f"state factors {list(key.names)} do not match schema {list(schema)}"
                         )
                 else:
-                    key = StateKey.from_values(schema, key_text.split("|"))
+                    key = StateKey(schema, key_text.split("|"))
             except InputError as exc:
                 raise InputError(f"{path}: line {lineno}: {exc}") from None
             if key in weights:
@@ -398,82 +396,16 @@ def write_abstraction_config(path, config: AbstractionConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sweep specs
-
-
-def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
-    """Grid spec: cross product of family/params x K x n x tau.
-
-    Returns (cells, trials, seed); trials and seed are None when the file does
-    not set them.
-    """
-    kv = read_kv_file(path)
-    known = {"family", "zipf_s", "geom_ratio", "K", "n", "tau", "trials", "seed"}
-    unknown = sorted(set(kv) - known)
-    if unknown:
-        raise InputError(f"{path}: unknown sweep keys {unknown}; expected {sorted(known)}")
-    for required in ("family", "K", "n", "tau"):
-        if required not in kv:
-            raise InputError(f"{path}: sweep spec is missing required key {required!r}")
-
-    def ints(key: str) -> list[int]:
-        try:
-            vals = [int(v) for v in _split_list(kv[key])]
-        except ValueError:
-            raise InputError(f"{path}: {key} must be a comma-separated list of integers") from None
-        if not vals:
-            raise InputError(f"{path}: {key} must name at least one value")
-        return vals
-
-    def floats(key: str) -> list[float]:
-        try:
-            vals = [float(v) for v in _split_list(kv[key])]
-        except ValueError:
-            raise InputError(f"{path}: {key} must be a comma-separated list of numbers") from None
-        if not vals:
-            raise InputError(f"{path}: {key} must name at least one value")
-        return vals
-
-    param_combos: list[tuple[str, tuple[tuple[str, float], ...]]] = []
-    for family in _split_list(kv["family"]):
-        if family == "zipf":
-            if "zipf_s" not in kv:
-                raise InputError(f"{path}: family zipf needs zipf_s")
-            param_combos.extend(("zipf", (("s", s),)) for s in floats("zipf_s"))
-        elif family == "geometric":
-            if "geom_ratio" not in kv:
-                raise InputError(f"{path}: family geometric needs geom_ratio")
-            param_combos.extend(("geometric", (("ratio", r),)) for r in floats("geom_ratio"))
-        elif family == "uniform":
-            param_combos.append(("uniform", ()))
-        else:
-            raise InputError(f"{path}: unknown family {family!r}")
-
-    cells = [
-        SweepCell(family=family, params=params, size=size, n=n, tau=tau)
-        for family, params in param_combos
-        for size in ints("K")
-        for n in ints("n")
-        for tau in ints("tau")
-    ]
-    trials = seed = None
-    try:
-        if "trials" in kv:
-            trials = int(kv["trials"])
-        if "seed" in kv:
-            seed = int(kv["seed"])
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    return cells, trials, seed
-
-
-# ---------------------------------------------------------------------------
 # generic labeled CSV
 
 
 def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey], IngestionSummary]:
     """One state per row from named columns of an arbitrary CSV.  Rows with an
-    empty key cell are dropped and tallied."""
+    empty key cell are dropped and tallied.
+
+    As in ``read_samples_file``, equal rows share one key object, built and
+    validated where its values first appear.
+    """
     key_columns = tuple(key_columns)
     if not key_columns:
         raise InputError("key_columns must name at least one column")
@@ -486,16 +418,20 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
         missing = [c for c in key_columns if c not in reader.fieldnames]
         if missing:
             raise InputError(f"{path}: missing key column(s) {missing}; header has {reader.fieldnames}")
+        keys: dict[tuple[str, ...], StateKey] = {}
         for lineno, row in enumerate(reader, 2):
             summary.rows_read += 1
-            values = [(row[c] or "").strip() for c in key_columns]
-            if any(v == "" for v in values):
+            values = tuple([(row[c] or "").strip() for c in key_columns])
+            if "" in values:
                 summary.drop(DROP_MISSING_LABEL)
                 continue
-            try:
-                samples.append(StateKey.from_values(key_columns, values))
-            except InputError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+            key = keys.get(values)
+            if key is None:
+                try:
+                    key = keys[values] = StateKey(key_columns, values)
+                except InputError as exc:
+                    raise InputError(f"{path}: line {lineno}: {exc}") from None
+            samples.append(key)
             summary.rows_kept += 1
     summary.emitted = len(samples)
     summary.validate()

@@ -63,7 +63,7 @@ def write_csv_rows(fh, header: Sequence[str], rows) -> None:
 
 def support_histogram(table: CountTable) -> list[tuple[StateKey, int]]:
     """(state, count) pairs, most frequent first; ties by state order."""
-    return sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0].sort_key))
+    return sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0].values))
 
 
 @dataclass(frozen=True)

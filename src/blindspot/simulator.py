@@ -4,6 +4,7 @@ Sampling is inverse-CDF over a materialized probability vector, driven by
 NumPy's PCG64 generator.  Per-trial generators derive from the entropy tuple
 (master seed, cell index, trial index), so sweep results are reproducible and
 trials could be farmed out in parallel without changing a single draw.
+``read_sweep_spec`` reads the key=value grid of ``SweepCell``s a sweep runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .counts import KNOWN_TRUTH, CountTable, EmpiricalDistribution, FreqOfFreqs, StateKey
 from .errors import InputError, InvariantViolation
 from .estimators import ESTIMATOR_MODES, mass_estimate
+from .ingest import _split_list, read_kv_file
 
 __all__ = [
     "GENERATOR_NAME",
@@ -34,6 +36,7 @@ __all__ = [
     "sample",
     "true_blind_mass",
     "SweepCell",
+    "read_sweep_spec",
     "ModeStats",
     "CellStats",
     "SweepResult",
@@ -145,7 +148,7 @@ def state_key(index) -> StateKey:
     index = operator.index(index)
     if index < 0:
         raise InputError(f"state index must be >= 0, got {index}")
-    return StateKey(((STATE_FACTOR, f"s{index}"),))
+    return StateKey((STATE_FACTOR,), (f"s{index}",))
 
 
 def state_index(dist: SyntheticDistribution, key: StateKey) -> int:
@@ -233,6 +236,65 @@ class SweepCell:
             if v < 1:
                 raise InputError(f"{name} must be >= 1, got {v}")
             object.__setattr__(self, name, v)
+
+
+def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
+    """Grid spec: cross product of family/params x K x n x tau.
+
+    Returns (cells, trials, seed); trials and seed are None when the file does
+    not set them.
+    """
+    kv = read_kv_file(path)
+    known = {"family", "zipf_s", "geom_ratio", "K", "n", "tau", "trials", "seed"}
+    unknown = sorted(set(kv) - known)
+    if unknown:
+        raise InputError(f"{path}: unknown sweep keys {unknown}; expected {sorted(known)}")
+    for required in ("family", "K", "n", "tau"):
+        if required not in kv:
+            raise InputError(f"{path}: sweep spec is missing required key {required!r}")
+
+    def listed(key: str, parse, noun: str) -> list:
+        try:
+            vals = [parse(v) for v in _split_list(kv[key])]
+        except ValueError:
+            raise InputError(f"{path}: {key} must be a comma-separated list of {noun}") from None
+        if not vals:
+            raise InputError(f"{path}: {key} must name at least one value")
+        return vals
+
+    param_combos: list[tuple[str, tuple[tuple[str, float], ...]]] = []
+    for family in _split_list(kv["family"]):
+        if family == "zipf":
+            if "zipf_s" not in kv:
+                raise InputError(f"{path}: family zipf needs zipf_s")
+            param_combos.extend(("zipf", (("s", s),)) for s in listed("zipf_s", float, "numbers"))
+        elif family == "geometric":
+            if "geom_ratio" not in kv:
+                raise InputError(f"{path}: family geometric needs geom_ratio")
+            param_combos.extend(("geometric", (("ratio", r),)) for r in listed("geom_ratio", float, "numbers"))
+        elif family == "uniform":
+            param_combos.append(("uniform", ()))
+        else:
+            raise InputError(f"{path}: unknown family {family!r}")
+
+    sizes, ns, taus = (listed(key, int, "integers") for key in ("K", "n", "tau"))
+    cells = [
+        SweepCell(family=family, params=params, size=size, n=n, tau=tau)
+        for family, params in param_combos
+        for size in sizes
+        for n in ns
+        for tau in taus
+    ]
+    trials = seed = None
+    try:
+        if "trials" in kv:
+            trials = int(kv["trials"])
+        if "seed" in kv:
+            seed = int(kv["seed"])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return cells, trials, seed
+
 
 
 @dataclass(frozen=True)

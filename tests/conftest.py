@@ -12,7 +12,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def key(**factors) -> StateKey:
     """StateKey from keyword arguments, factor order as written."""
-    return StateKey(tuple(factors.items()))
+    return StateKey(tuple(factors), tuple(factors.values()))
 
 
 def table_of(counts, factor: str = "activity") -> CountTable:

@@ -274,7 +274,7 @@ def test_09_exact_truth_against_second_implementation(capsys):
         slow = math.fsum(
             float(p)
             for i, p in enumerate(dist.probs)
-            if by_state.get(StateKey((("state", f"s{i}"),)), 0) < tau
+            if by_state.get(StateKey(("state",), (f"s{i}",)), 0) < tau
         )
         fast = true_blind_mass(dist, table, tau)
         worst = max(worst, abs(fast - slow))

@@ -5,8 +5,13 @@ import gzip
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindspot import read_abstraction_config, read_samples_file
 from blindspot.cli import main
@@ -15,11 +20,55 @@ from conftest import DATA_DIR
 COUNTS = str(DATA_DIR / "activity_counts.csv")
 WEIGHTS = str(DATA_DIR / "activity_weights.tsv")
 SWEEP = str(DATA_DIR / "sweep_small.txt")
-PAMAP2 = str(DATA_DIR.parent / "golden" / "inputs" / "subject101.dat")
+GOLDEN_INPUTS = DATA_DIR.parent / "golden" / "inputs"
+SRC_DIR = DATA_DIR.parent.parent / "src"
+PAMAP2 = str(GOLDEN_INPUTS / "subject101.dat")
+
+# every file reader of the CLI; "{bad}" is the file under test
+READER_ARGVS = [
+    ["histogram", "--samples", "{bad}"],
+    ["histogram", "--counts", "{bad}"],
+    ["histogram", "--counts", "{bad}.gz"],
+    ["decompose", "--counts", COUNTS, "--tau", "150", "--weights", "{bad}"],
+    ["wilson", "--input", "{bad}"],
+    ["simulate", "--spec", "{bad}", "--trials", "2"],
+    ["ingest", "--samples-csv", "{bad}", "--key-columns", "activity"],
+    ["ingest", "--diagnoses", "{bad}"],
+    ["ingest", "--pamap2", "{bad}", "--subjects", "101", "--window-s", "0.5", "--stride-s", "0.25"],
+    ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--window-s", "0.5", "--stride-s", "0.25",
+     "--config", "{bad}"],
+]
+
+# a valid input for each entry of READER_ARGVS, for the fuzzer to damage; the
+# spec and config hold few digits, so that no damaged copy asks for a huge
+# sweep or bin count
+READER_SEEDS = [
+    (GOLDEN_INPUTS / "samples.csv").read_bytes(),
+    (DATA_DIR / "activity_counts.csv").read_bytes(),
+    gzip.compress((DATA_DIR / "activity_counts.csv").read_bytes(), mtime=0),
+    (DATA_DIR / "activity_weights.tsv").read_bytes(),
+    (GOLDEN_INPUTS / "wilson.csv").read_bytes(),
+    b"family = zipf, uniform\nzipf_s = 1.0\nK = 3\nn = 4\ntau = 1, 2\nseed = 1\n",
+    (GOLDEN_INPUTS / "rows.csv").read_bytes(),
+    (GOLDEN_INPUTS / "diagnoses.csv").read_bytes(),
+    (GOLDEN_INPUTS / "subject101.dat").read_bytes(),
+    b"factors = activity, tilt, energy\ntilt_bins = 6\nenergy_bins = 3\n",
+]
 
 
 def rows_of(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _damaged(seed: bytes):
+    """Arbitrary bytes, or ``seed`` with one span replaced by up to six bytes.
+    The inserted bytes hold no digit, so a number in ``seed`` can grow only by
+    joining the digits around a deleted span."""
+    junk = st.binary(max_size=6).map(lambda b: b.translate(None, b"0123456789"))
+    spliced = st.tuples(st.integers(0, len(seed)), st.integers(0, len(seed)), junk).map(
+        lambda t: seed[: min(t[:2])] + t[2] + seed[max(t[:2]):]
+    )
+    return st.one_of(st.binary(max_size=200), spliced)
 
 
 class TestExitCodes:
@@ -95,21 +144,7 @@ class TestExitCodes:
         assert main(["wilson", "--input", str(bad)]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["histogram", "--samples", "{bad}"],
-            ["histogram", "--counts", "{bad}"],
-            ["histogram", "--counts", "{bad}.gz"],
-            ["decompose", "--counts", COUNTS, "--tau", "150", "--weights", "{bad}"],
-            ["wilson", "--input", "{bad}"],
-            ["simulate", "--spec", "{bad}"],
-            ["ingest", "--samples-csv", "{bad}", "--key-columns", "activity"],
-            ["ingest", "--diagnoses", "{bad}"],
-            ["ingest", "--pamap2", "{bad}", "--subjects", "101"],
-            ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--config", "{bad}"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", READER_ARGVS)
     def test_undecodable_input_exits_2(self, capsys, tmp_path, argv):
         bad = tmp_path / "subject101.dat"  # the pamap2 reader wants a subject id in the name
         bad.write_bytes(b"activity,count\n\xff\xfe,1\n")
@@ -145,6 +180,36 @@ class TestExitCodes:
         path.write_bytes(bytes(body))
         assert main(["histogram", "--counts", str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, seed", zip(READER_ARGVS, READER_SEEDS), ids=[f"argv{i}" for i in range(len(READER_ARGVS))]
+    )
+    def test_fuzzed_input_never_exits_3(self, tmp_path_factory, argv, seed):
+        # exit 3 is reserved for bugs; any file content is 0 (it parsed) or 2
+        work = tmp_path_factory.mktemp("fuzz")
+        bad = work / "subject101.dat"  # the pamap2 reader wants a subject id in the name
+
+        @settings(max_examples=40, deadline=None)
+        @given(_damaged(seed))
+        def check(data):
+            bad.write_bytes(data)
+            (work / "subject101.dat.gz").write_bytes(data)
+            assert main([arg.format(bad=bad) for arg in argv]) in (0, 2)
+
+        check()
+
+    def test_module_entry_point_exits_2_on_undecodable_input(self, tmp_path):
+        bad = tmp_path / "c.csv"
+        bad.write_bytes(b"\xff" * 16)
+        path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "blindspot", "histogram", "--counts", str(bad)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert f"blindspot: error: {bad}: ".encode() in done.stderr
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -21,43 +21,48 @@ from blindspot import (
 )
 from conftest import ACTIVITY_COUNTS, key, random_multi_table, table_of
 
+# valid factor names and values: non-empty, unpadded, none of = | tab CR LF
+TOKENS = st.text(st.characters(blacklist_characters="=|\t\n\r"), min_size=1).filter(
+    lambda s: s == s.strip()
+)
+
 
 class TestStateKey:
     def test_integer_values_coerce_to_str(self):
-        k = StateKey((("activity", "walk"), ("tilt", 3)))
+        k = StateKey(("activity", "tilt"), ("walk", 3))
         assert k.values == ("walk", "3")
         assert k.value_of("tilt") == "3"
-        assert k == StateKey((("activity", "walk"), ("tilt", "3")))
+        assert k == StateKey(("activity", "tilt"), ("walk", "3"))
 
     def test_bool_value_rejected(self):
         with pytest.raises(InputError):
-            StateKey((("flag", True),))
+            StateKey(("flag",), (True,))
 
     def test_float_value_rejected(self):
         with pytest.raises(InputError):
-            StateKey((("x", 1.5),))
+            StateKey(("x",), (1.5,))
 
     @pytest.mark.parametrize("ch", ["=", "|", "\t", "\n", "\r"])
     def test_forbidden_characters_rejected(self, ch):
         with pytest.raises(InputError):
-            StateKey((("a", f"x{ch}y"),))
+            StateKey(("a",), (f"x{ch}y",))
         with pytest.raises(InputError):
-            StateKey(((f"a{ch}b", "x"),))
+            StateKey((f"a{ch}b",), ("x",))
 
     def test_empty_or_padded_tokens_rejected(self):
         for bad in ["", " x", "x ", "  "]:
             with pytest.raises(InputError):
-                StateKey((("a", bad),))
+                StateKey(("a",), (bad,))
             with pytest.raises(InputError):
-                StateKey(((bad, "v"),))
+                StateKey((bad,), ("v",))
 
     def test_duplicate_factor_names_rejected(self):
         with pytest.raises(InputError):
-            StateKey((("a", "1"), ("a", "2")))
+            StateKey(("a", "a"), ("1", "2"))
 
     def test_at_least_one_factor_required(self):
         with pytest.raises(InputError):
-            StateKey(())
+            StateKey((), ())
 
     def test_serialize_parse_round_trip(self):
         k = key(activity="walk", tilt="3")
@@ -65,22 +70,39 @@ class TestStateKey:
         assert str(k) == k.serialize()
         assert StateKey.parse(k.serialize()) == k
 
+    @given(
+        st.lists(TOKENS, min_size=1, max_size=4, unique=True).flatmap(
+            lambda names: st.tuples(
+                st.just(tuple(names)),
+                st.lists(TOKENS | st.integers(), min_size=len(names), max_size=len(names)),
+            )
+        )
+    )
+    def test_parse_inverts_serialize(self, names_values):
+        names, values = names_values
+        k = StateKey(names, values)
+        assert k.names is names
+        back = StateKey.parse(k.serialize())
+        assert back == k and hash(back) == hash(k)
+
     def test_parse_rejects_field_without_equals(self):
         with pytest.raises(InputError):
             StateKey.parse("activity=walk|tilt")
 
-    def test_from_values_matches_constructor(self):
-        assert StateKey.from_values(("a", "b"), ("1", "2")) == key(a="1", b="2")
-        with pytest.raises(InputError):
-            StateKey.from_values(("a", "b"), ("1",))
+    def test_value_count_must_match_names(self):
+        with pytest.raises(InputError, match="expected 2 factor values"):
+            StateKey(("a", "b"), ("1",))
+        with pytest.raises(InputError, match="single string"):
+            StateKey(("a", "b"), "12")
 
-    def test_sort_key_orders_by_values(self):
+    def test_values_order_keys(self):
         ks = [key(s="b"), key(s="a"), key(s="c")]
-        assert sorted(ks, key=lambda x: x.sort_key) == [key(s="a"), key(s="b"), key(s="c")]
+        assert sorted(ks, key=lambda x: x.values) == [key(s="a"), key(s="b"), key(s="c")]
 
     def test_project_preserves_requested_order(self):
         k = key(a="1", b="2", c="3")
-        assert k.project(("c", "a")).factors == (("c", "3"), ("a", "1"))
+        projected = k.project(("c", "a"))
+        assert (projected.names, projected.values) == (("c", "a"), ("3", "1"))
         with pytest.raises(InputError):
             k.project(("missing",))
 
@@ -128,7 +150,7 @@ class TestCountTable:
     )
     def test_build_matches_per_row_reference(self, rows, as_generator):
         # fresh key objects per row, so equal states arrive as distinct objects
-        samples = [StateKey.from_values(("a", "b"), row) for row in rows]
+        samples = [StateKey(("a", "b"), row) for row in rows]
         reference: dict[StateKey, int] = {}
         for k in samples:
             reference[k] = reference.get(k, 0) + 1

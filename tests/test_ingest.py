@@ -90,6 +90,12 @@ class TestSamplesFile:
         with pytest.raises(InputError, match=r"line 3: factor value may not contain '\|'"):
             read_samples_file(path)
 
+    def test_keys_share_the_schema_tuple(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("factor:a,factor:b\n1,x\n2,y\n1,z\n")
+        back, schema = read_samples_file(path)
+        assert all(k.names is schema for k in back)
+
     def test_field_count_error_before_bad_value_wins(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text('factor:a,factor:b\n1,x\n2,y\n3\n"x|y",z\n')
@@ -104,6 +110,12 @@ class TestCountsFile:
         assert table.k_observed == 12
         assert table.schema == ("activity",)
         assert table.count(key(activity="Walking")) == 307
+
+    def test_keys_share_the_schema_tuple(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,count\n1,x,3\n2,y,1\n1,z,2\n")
+        table = read_counts_file(path)
+        assert all(k.names is table.schema for k in table.counts)
 
     def test_duplicate_states_summed(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -308,6 +320,20 @@ class TestSamplesCsvAdapter:
         path.write_text("activity\n  walk  \n")
         samples, _ = ingest_samples_csv(path, ("activity",))
         assert samples == [key(activity="walk")]
+
+    def test_equal_rows_share_one_key(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("id,activity,surface\n1,walk,grass\n2,run,road\n3, walk ,grass\n4,walk,grass\n")
+        samples, _ = ingest_samples_csv(path, ("activity", "surface"))
+        assert samples[0] is samples[2] is samples[3]
+        assert samples[0] is not samples[1]
+        assert all(s.names is samples[0].names for s in samples)
+
+    def test_repeated_bad_value_reported_at_first_line(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text('activity\nok\n"x|y"\nok\n"x|y"\n')
+        with pytest.raises(InputError, match=r"line 3: factor value may not contain '\|'"):
+            ingest_samples_csv(path, ("activity",))
 
 
 DIAG_BODY = (
