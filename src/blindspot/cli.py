@@ -36,6 +36,7 @@ from .estimators import (
 )
 from .ingest import (
     PLACEMENTS,
+    _at_line,
     _write_samples,
     ingest_diagnoses,
     ingest_pamap2,
@@ -286,10 +287,8 @@ def _cmd_histogram(args) -> int:
 def _cmd_wilson(args) -> int:
     rows = []
     for lineno, label, s, t in read_class_accuracies(args.input):
-        try:
+        with _at_line(args.input, lambda: lineno):
             lower, upper = wilson_interval(s, t, args.confidence)
-        except InputError as exc:
-            raise InputError(f"{args.input}: line {lineno}: {exc}") from None
         rows.append(
             (
                 label,

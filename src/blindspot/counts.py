@@ -265,25 +265,21 @@ def build_count_table(samples: Iterable["StateKey"], schema: Sequence[str]) -> C
     rejected: with n=0 every downstream estimate is undefined.
 
     Equal rows may share one ``StateKey`` object, as ``read_samples_file``
-    returns them.  Each row is hashed once, at C level; the checks run once
-    per distinct key, and the rows are walked again only to name the first
-    bad one.  Memory grows with the distinct states, plus one pointer per row
-    when ``samples`` is not already a list or tuple.
+    returns them.  Each row is hashed once, at C level; ``CountTable`` checks
+    each distinct key once, and the rows are walked again only to name the
+    first bad one.  Memory grows with the distinct states, plus one pointer
+    per row when ``samples`` is not already a list or tuple.
     """
     schema = _check_schema(schema)
     if not isinstance(samples, (list, tuple)):
         samples = list(samples)
+    if not samples:
+        raise InputError("no samples given: a count table needs at least one observation")
     try:
-        counts = Counter(samples)
-    except TypeError:  # an unhashable sample
+        return CountTable(counts=Counter(samples), n=len(samples), schema=schema)
+    except (TypeError, InputError):  # an unhashable sample, or a key CountTable refused
         _raise_first_bad_sample(samples, schema)
         raise
-    for key in counts:
-        if not isinstance(key, StateKey) or key.names != schema:
-            _raise_first_bad_sample(samples, schema)
-    if not counts:
-        raise InputError("no samples given: a count table needs at least one observation")
-    return CountTable(counts=counts, n=len(samples), schema=schema)
 
 
 def _raise_first_bad_sample(samples: Sequence, schema: tuple[str, ...]):
@@ -327,13 +323,7 @@ def coarsen(table: CountTable, projection: Sequence[str]) -> CountTable:
     is ordered.  Total observations are preserved; merging can only increase
     per-state support.
     """
-    if isinstance(projection, str):
-        raise InputError("projection must be a sequence of factor names, not a single string")
-    proj = tuple(projection)
-    if not proj:
-        raise InputError("projection must retain at least one factor")
-    if len(set(proj)) != len(proj):
-        raise InputError(f"projection has duplicate factor names: {list(proj)}")
+    proj = _check_schema(projection)
     missing = [p for p in proj if p not in table.schema]
     if missing:
         raise InputError(f"projection names factors absent from schema {list(table.schema)}: {missing}")

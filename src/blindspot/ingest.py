@@ -14,7 +14,9 @@ Formats owned here:
   ``simulator.read_sweep_spec``); ``#`` lines are comments
 * raw 54-column IMU recordings (whitespace separated, ``NaN`` literals)
 
-Paths ending in ``.gz`` are decompressed transparently on read.
+Paths ending in ``.gz`` are decompressed transparently on read.  Every
+reader's ``InputError`` names the file; one about a record also names the
+physical line on which the record ends (``<path>: line <n>: <message>``).
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ def _open_text(path):
         yield fh
 
 
+@contextmanager
+def _at_line(path, line):
+    """Re-raise an ``InputError`` from a reader's record loop with the file
+    and line in front.  ``line()`` gives the physical line on which the
+    record being read ends; it is called only when the loop fails."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: line {line()}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # canonical samples file
 
@@ -158,7 +171,8 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
 
     Equal rows share one key object: a key is built and validated the first
     time its row appears, so memory grows with the distinct states plus one
-    pointer per row.  Errors name the line of the first row that shows them.
+    pointer per row.  Errors name the line of the first row that shows them,
+    the physical line on which that row ends.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
@@ -177,19 +191,15 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
         width = len(schema)
         keys: dict[tuple[str, ...], StateKey] = {}
         samples = []
-        for lineno, row in enumerate(reader, 2):
-            if len(row) != width:
-                raise InputError(
-                    f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
-                )
-            row = tuple(row)
-            key = keys.get(row)
-            if key is None:
-                try:
+        with _at_line(path, lambda: reader.line_num):
+            for row in reader:
+                if len(row) != width:
+                    raise InputError(f"expected {width} fields, found {len(row)}")
+                row = tuple(row)
+                key = keys.get(row)
+                if key is None:
                     key = keys[row] = StateKey(schema, row)
-                except InputError as exc:
-                    raise InputError(f"{path}: line {lineno}: {exc}") from None
-            samples.append(key)
+                samples.append(key)
     return samples, schema
 
 
@@ -216,24 +226,20 @@ def read_counts_file(path) -> CountTable:
         )
         counts: dict[StateKey, int] = {}
         total = 0
-        for lineno, row in enumerate(reader, 2):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
-                )
-            try:
+        with _at_line(path, lambda: reader.line_num):
+            for row in reader:
+                if len(row) != len(header):
+                    raise InputError(f"expected {len(header)} fields, found {len(row)}")
                 key = StateKey(schema, [v.strip() for v in row[:-1]])
-            except InputError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
-            raw = row[-1].strip()
-            try:
-                c = int(raw)
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: count {raw!r} is not an integer") from None
-            if c < 1:
-                raise InputError(f"{path}: line {lineno}: count must be >= 1, got {c}")
-            counts[key] = counts.get(key, 0) + c
-            total += c
+                raw = row[-1].strip()
+                try:
+                    c = int(raw)
+                except ValueError:
+                    raise InputError(f"count {raw!r} is not an integer") from None
+                if c < 1:
+                    raise InputError(f"count must be >= 1, got {c}")
+                counts[key] = counts.get(key, 0) + c
+                total += c
         if not counts:
             raise InputError(f"{path}: counts file has no data rows")
     return CountTable(counts=counts, n=total, schema=schema)
@@ -249,43 +255,36 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
     schema = tuple(schema)
     weights: dict[StateKey, float] = {}
     default = None
-    with _open_text(path) as fh:
+    with _open_text(path) as fh, _at_line(path, lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             key_text, sep, weight_text = line.partition("\t")
             if not sep:
-                raise InputError(
-                    f"{path}: line {lineno}: expected <state><TAB><weight>, got {line!r}"
-                )
+                raise InputError(f"expected <state><TAB><weight>, got {line!r}")
             try:
                 w = float(weight_text.strip())
             except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: weight {weight_text.strip()!r} is not a number"
-                ) from None
+                raise InputError(f"weight {weight_text.strip()!r} is not a number") from None
             if not (w >= 0.0 and math.isfinite(w)):
-                raise InputError(f"{path}: line {lineno}: weight must be finite and >= 0, got {w}")
+                raise InputError(f"weight must be finite and >= 0, got {w}")
             key_text = key_text.strip()
             if key_text == "*":
                 if default is not None:
-                    raise InputError(f"{path}: line {lineno}: duplicate '*' default line")
+                    raise InputError("duplicate '*' default line")
                 default = w
                 continue
-            try:
-                if "=" in key_text:
-                    key = StateKey.parse(key_text)
-                    if key.names != schema:
-                        raise InputError(
-                            f"state factors {list(key.names)} do not match schema {list(schema)}"
-                        )
-                else:
-                    key = StateKey(schema, key_text.split("|"))
-            except InputError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+            if "=" in key_text:
+                key = StateKey.parse(key_text)
+                if key.names != schema:
+                    raise InputError(
+                        f"state factors {list(key.names)} do not match schema {list(schema)}"
+                    )
+            else:
+                key = StateKey(schema, key_text.split("|"))
             if key in weights:
-                raise InputError(f"{path}: line {lineno}: duplicate weight for {key.serialize()!r}")
+                raise InputError(f"duplicate weight for {key.serialize()!r}")
             weights[key] = w
     return RiskWeights(weights=weights, default_weight=1.0 if default is None else default)
 
@@ -296,7 +295,8 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
 
 def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
     """``class,successes,trials`` CSV (column names case-insensitive) as
-    (line number, class, successes, trials) rows; ranges are the caller's."""
+    (line number, class, successes, trials) rows, the line being the one on
+    which the row ends; ranges are the caller's."""
     rows = []
     with _open_text(path) as fh:
         reader = csv.DictReader(fh)
@@ -308,16 +308,15 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
             raise InputError(
                 f"{path}: missing column(s) {missing}; header has {reader.fieldnames}"
             )
-        for lineno, row in enumerate(reader, 2):
-            label = (row[lowered["class"]] or "").strip()
-            try:
-                s = int((row[lowered["successes"]] or "").strip())
-                t = int((row[lowered["trials"]] or "").strip())
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: successes and trials must be integers"
-                ) from None
-            rows.append((lineno, label, s, t))
+        with _at_line(path, lambda: reader.line_num):
+            for row in reader:
+                label = (row[lowered["class"]] or "").strip()
+                try:
+                    s = int((row[lowered["successes"]] or "").strip())
+                    t = int((row[lowered["trials"]] or "").strip())
+                except ValueError:
+                    raise InputError("successes and trials must be integers") from None
+                rows.append((reader.line_num, label, s, t))
     return rows
 
 
@@ -327,7 +326,7 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
 
 def read_kv_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with _open_text(path) as fh:
+    with _open_text(path) as fh, _at_line(path, lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -335,9 +334,9 @@ def read_kv_file(path) -> dict[str, str]:
             key, sep, value = stripped.partition("=")
             key = key.strip()
             if not sep or not key:
-                raise InputError(f"{path}: line {lineno}: expected 'key = value', got {stripped!r}")
+                raise InputError(f"expected 'key = value', got {stripped!r}")
             if key in out:
-                raise InputError(f"{path}: line {lineno}: duplicate key {key!r}")
+                raise InputError(f"duplicate key {key!r}")
             out[key] = value.strip()
     return out
 
@@ -419,20 +418,18 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
         if missing:
             raise InputError(f"{path}: missing key column(s) {missing}; header has {reader.fieldnames}")
         keys: dict[tuple[str, ...], StateKey] = {}
-        for lineno, row in enumerate(reader, 2):
-            summary.rows_read += 1
-            values = tuple([(row[c] or "").strip() for c in key_columns])
-            if "" in values:
-                summary.drop(DROP_MISSING_LABEL)
-                continue
-            key = keys.get(values)
-            if key is None:
-                try:
+        with _at_line(path, lambda: reader.line_num):
+            for row in reader:
+                summary.rows_read += 1
+                values = tuple([(row[c] or "").strip() for c in key_columns])
+                if "" in values:
+                    summary.drop(DROP_MISSING_LABEL)
+                    continue
+                key = keys.get(values)
+                if key is None:
                     key = keys[values] = StateKey(key_columns, values)
-                except InputError as exc:
-                    raise InputError(f"{path}: line {lineno}: {exc}") from None
-            samples.append(key)
-            summary.rows_kept += 1
+                samples.append(key)
+                summary.rows_kept += 1
     summary.emitted = len(samples)
     summary.validate()
     return samples, summary
@@ -468,20 +465,19 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
         adm_col = _resolve_column(reader.fieldnames, ("hadm_id", "admission_id"), path)
         seq_col = _resolve_column(reader.fieldnames, ("seq_num",), path)
         code_col = _resolve_column(reader.fieldnames, ("icd_code",), path)
-        for lineno, row in enumerate(reader, 2):
-            row_count += 1
-            adm = (row[adm_col] or "").strip()
-            if not adm:
-                raise InputError(f"{path}: line {lineno}: empty admission id")
-            raw_seq = (row[seq_col] or "").strip()
-            try:
-                seq = int(raw_seq)
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: sequence number {raw_seq!r} is not an integer"
-                ) from None
-            code = (row[code_col] or "").strip()
-            admissions.setdefault(adm, []).append((seq, code))
+        with _at_line(path, lambda: reader.line_num):
+            for row in reader:
+                row_count += 1
+                adm = (row[adm_col] or "").strip()
+                if not adm:
+                    raise InputError("empty admission id")
+                raw_seq = (row[seq_col] or "").strip()
+                try:
+                    seq = int(raw_seq)
+                except ValueError:
+                    raise InputError(f"sequence number {raw_seq!r} is not an integer") from None
+                code = (row[code_col] or "").strip()
+                admissions.setdefault(adm, []).append((seq, code))
     summary.note("diagnosis-rows", row_count)
     samples: list[StateKey] = []
     for adm, diags in admissions.items():
@@ -518,22 +514,18 @@ _SAMPLE_RATE_HZ = 100.0
 
 def _scan_raw_file(path) -> None:
     # slow diagnostic pass, run only after the fast parser failed
-    with _naming_path(path), open(path, encoding="utf-8") as fh:
+    with _naming_path(path), open(path, encoding="utf-8") as fh, _at_line(path, lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens:
                 continue
             if len(tokens) != _RAW_COLUMNS:
-                raise InputError(
-                    f"{path}: line {lineno}: expected {_RAW_COLUMNS} columns, found {len(tokens)}"
-                )
+                raise InputError(f"expected {_RAW_COLUMNS} columns, found {len(tokens)}")
             for tok in tokens:
                 try:
                     float(tok)
                 except ValueError:
-                    raise InputError(
-                        f"{path}: line {lineno}: non-numeric value {tok!r}"
-                    ) from None
+                    raise InputError(f"non-numeric value {tok!r}") from None
 
 
 def _forward_fill(block: np.ndarray) -> None:
@@ -556,15 +548,13 @@ def _parse_raw_file(path, base: int, summary: IngestionSummary):
         with _naming_path(path), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty files warn; they parse to no rows
             data = np.loadtxt(path, dtype=float, ndmin=2)
+        if data.size and data.shape[1] != _RAW_COLUMNS:
+            raise ValueError(f"expected {_RAW_COLUMNS} columns, found {data.shape[1]}")
     except ValueError as exc:
         _scan_raw_file(path)
         raise InputError(f"{path}: unreadable numeric data: {exc}") from None
     if data.size == 0:
         return None
-    if data.shape[1] != _RAW_COLUMNS:
-        raise InputError(
-            f"{path}: line 1: expected {_RAW_COLUMNS} columns, found {data.shape[1]}"
-        )
     rows = data.shape[0]
     summary.rows_read += rows
     ts = data[:, 0]

@@ -350,6 +350,17 @@ class TestWilson:
         assert float(narrow[5]) - float(narrow[4]) < float(wide[5]) - float(wide[4])
 
 
+    def test_error_names_the_physical_line_after_a_multiline_field(self, capsys, tmp_path):
+        acc = tmp_path / "acc.csv"
+        # the quoted class of record 1 spans lines 2-3, so the bad row is on line 5
+        acc.write_text('class,successes,trials\n"two\nlines",1,2\nok,1,2\nbad,5,2\n')
+        assert main(["wilson", "--input", str(acc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"blindspot: error: {acc}: line 5: successes must lie in [0, trials]; got 5 of 2\n"
+        )
+
     def test_gzipped_input_matches_plain(self, capsys, tmp_path):
         text = b"class,successes,trials\nx,10,20\ny,3,4\n"
         plain, packed = tmp_path / "acc.csv", tmp_path / "acc.csv.gz"

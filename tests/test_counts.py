@@ -292,11 +292,11 @@ class TestCoarsen:
 
     def test_bad_projections_rejected(self):
         table = random_multi_table(random.Random(205))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^schema must name at least one factor$"):
             coarsen(table, ())
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^schema has duplicate factor names: \['a', 'a'\]$"):
             coarsen(table, ("a", "a"))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^projection names factors absent from schema .*\['nope'\]$"):
             coarsen(table, ("nope",))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^schema must be a sequence of factor names, not a single string$"):
             coarsen(table, "a")

@@ -3,6 +3,7 @@
 import gzip
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ from blindspot import (
     write_samples_file,
 )
 from conftest import DATA_DIR, key
+
+
+def raises_at(path, pattern):
+    """Expect an ``InputError`` whose message starts with ``<path>: ``.  A
+    ``pattern`` that starts with ``line `` must follow that prefix directly;
+    any other is searched for in the rest of the message."""
+    gap = "" if pattern.startswith("line ") else ".*"
+    return pytest.raises(InputError, match="^" + re.escape(f"{path}: ") + gap + pattern)
 
 
 class TestSamplesFile:
@@ -140,12 +149,16 @@ class TestCountsFile:
             ("activity,count\nwalk\n", "line 2"),
             ("activity,count\n", "no data rows"),
             ("", "missing header"),
+            ("activity,count\nrun,1\nwalk,two\n", "line 3: count 'two' is not an integer$"),
+            ("activity,count\nx|y,1\n", r"line 2: factor value may not contain '\|'"),
+            # the quoted count spans lines 2-3, so the bad row is on line 4
+            ('activity,count\nwalk,"1\n"\nrun,0\n', "line 4: count must be >= 1, got 0$"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, body, pattern):
         path = tmp_path / "c.csv"
         path.write_text(body)
-        with pytest.raises(InputError, match=pattern):
+        with raises_at(path, pattern):
             read_counts_file(path)
 
 
@@ -174,12 +187,16 @@ class TestRiskWeights:
             ("walk\t-1\n", ">= 0"),
             ("walk\t0.5\nwalk\t0.7\n", "duplicate"),
             ("*\t0\n*\t1\n", "duplicate"),
+            ("walk\t1\nx=1\t0.5\n", r"line 2: state factors \['x'\] do not match schema \['activity'\]$"),
+            ("# note\n\nwalk 0.5\n", "line 3: expected <state><TAB><weight>, got 'walk 0.5'$"),
+            ("walk\t0.5\n*\t0\nwalk\t0.7\n", "line 3: duplicate weight for 'activity=walk'$"),
+            ("a|b\t1\n", "line 1: expected 1 factor values"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, body, pattern):
         path = tmp_path / "w.tsv"
         path.write_text(body)
-        with pytest.raises(InputError, match=pattern):
+        with raises_at(path, pattern):
             read_risk_weights(path, ("activity",))
 
 
@@ -192,13 +209,13 @@ class TestKvFile:
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("a = 1\na = 2\n")
-        with pytest.raises(InputError, match="duplicate"):
+        with raises_at(path, "line 2: duplicate key 'a'$"):
             read_kv_file(path)
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("just some text\n")
-        with pytest.raises(InputError, match="line 1"):
+        path.write_text("# comment\njust some text\n")
+        with raises_at(path, "line 2: expected 'key = value', got 'just some text'$"):
             read_kv_file(path)
 
 
@@ -231,7 +248,7 @@ class TestAbstractionConfigFile:
     def test_bad_number_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("tilt_bins = six\n")
-        with pytest.raises(InputError):
+        with raises_at(path, "invalid literal for int"):
             read_abstraction_config(path)
 
 
@@ -273,12 +290,14 @@ class TestSweepSpec:
             ("family = uniform\nn = 10\ntau = 1\n", "'K'"),
             ("family = uniform\nK = 5\nn = ten\ntau = 1\n", "integers"),
             ("family = uniform\nK = 5\nn = 10\ntau = 1\nbogus = 2\n", "bogus"),
+            ("family = uniform\nK = 5\nK = 6\n", "line 3: duplicate key 'K'$"),
+            ("family = uniform\n\ntrials 4\n", "line 3: expected 'key = value', got 'trials 4'$"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, body, pattern):
         path = tmp_path / "spec.txt"
         path.write_text(body)
-        with pytest.raises(InputError, match=pattern):
+        with raises_at(path, pattern):
             read_sweep_spec(path)
 
 
@@ -335,6 +354,13 @@ class TestSamplesCsvAdapter:
         with pytest.raises(InputError, match=r"line 3: factor value may not contain '\|'"):
             ingest_samples_csv(path, ("activity",))
 
+    def test_error_names_the_physical_line_after_a_multiline_field(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        # the quoted note of record 1 spans lines 2-4
+        path.write_text('activity,notes\nwalk,"first\nsecond\nthird"\nrun,ok\na|b,bad\n')
+        with raises_at(path, r"line 6: factor value may not contain '\|': 'a\|b'$"):
+            ingest_samples_csv(path, ("activity",))
+
 
 DIAG_BODY = (
     "HADM_ID,SEQ_NUM,ICD_CODE\n"
@@ -379,12 +405,15 @@ class TestDiagnosesAdapter:
             ("who,seq_num,icd_code\n1,1,A\n", "hadm_id"),
             ("hadm_id,seq_num,icd_code\n,1,A\n", "empty admission id"),
             ("hadm_id,seq_num,icd_code\n1,one,A\n", "not an integer"),
+            ("hadm_id,seq_num,icd_code\n1,1,A\n2,x,B\n", "line 3: sequence number 'x' is not an integer$"),
+            # the quoted code of record 1 spans lines 2-3, so the bad row is on line 4
+            ('hadm_id,seq_num,icd_code\n1,1,"A\nB"\n,1,C\n', "line 4: empty admission id$"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, body, pattern):
         path = tmp_path / "diag.csv"
         path.write_text(body)
-        with pytest.raises(InputError, match=pattern):
+        with raises_at(path, pattern):
             ingest_diagnoses(path)
 
 
@@ -537,7 +566,7 @@ class TestRawRecordingAdapter:
         path = tmp_path / "subject101.dat"
         good = " ".join(["0"] * 54)
         path.write_text(f"{good}\n{good}\n0 1 2\n")
-        with pytest.raises(InputError, match=r"line 3.*expected 54 columns, found 3"):
+        with raises_at(path, "line 3: expected 54 columns, found 3$"):
             ingest_pamap2([path], [101], "chest")
 
     def test_non_numeric_token_reported_with_file_and_line(self, tmp_path):
@@ -546,13 +575,17 @@ class TestRawRecordingAdapter:
         row[5] = "abc"
         good = " ".join(["0"] * 54)
         path.write_text(f"{good}\n{' '.join(row)}\n")
-        with pytest.raises(InputError, match=r"line 2.*'abc'"):
+        with raises_at(path, "line 2: non-numeric value 'abc'$"):
             ingest_pamap2([path], [101], "chest")
 
     def test_uniformly_wrong_width_reported(self, tmp_path):
         path = tmp_path / "subject101.dat"
         write_dat(path, [[0.0] * 53, [0.0] * 53])
-        with pytest.raises(InputError, match="expected 54 columns, found 53"):
+        with raises_at(path, "line 1: expected 54 columns, found 53$"):
+            ingest_pamap2([path], [101], "chest")
+        # the parser skips blank lines; the message names the first data line
+        path.write_text("\n" + path.read_text())
+        with raises_at(path, "line 2: expected 54 columns, found 53$"):
             ingest_pamap2([path], [101], "chest")
 
     def test_empty_recording_gives_empty_stream(self, tmp_path):
