@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counts import StateKey
 from .errors import InputError, MissingPrimaryDiagnosis
@@ -38,6 +39,7 @@ __all__ = [
     "energy_bin",
     "fit_edges",
     "abstract_window",
+    "abstract_stream",
     "icd_prefix_state",
 ]
 
@@ -92,13 +94,19 @@ class SensorWindow:
 
 @dataclass(frozen=True)
 class LabeledStream:
-    """Time-ordered labeled samples at a constant nominal rate."""
+    """Time-ordered labeled samples at a constant nominal rate.
+
+    ``segment_starts`` lists the samples that begin a new recording (a new
+    source file, say); windows never cross one, nor a ``timestamps`` step
+    outside (0, 1.5/rate] seconds.
+    """
 
     acc: np.ndarray
     gyro: np.ndarray
     labels: np.ndarray
     sample_rate_hz: float
     timestamps: Optional[np.ndarray] = None
+    segment_starts: tuple[int, ...] = ()
 
     def __post_init__(self):
         acc = _as_readonly(self.acc).reshape(-1, 3) if np.size(self.acc) else np.empty((0, 3))
@@ -117,6 +125,10 @@ class LabeledStream:
             if ts.shape != (acc.shape[0],):
                 raise InputError("timestamps length does not match samples")
             object.__setattr__(self, "timestamps", ts)
+        starts = tuple(operator.index(i) for i in self.segment_starts)
+        if any(not 0 <= i < acc.shape[0] for i in starts):
+            raise InputError(f"segment starts {list(starts)} must index the {acc.shape[0]} samples")
+        object.__setattr__(self, "segment_starts", starts)
         object.__setattr__(self, "acc", acc)
         object.__setattr__(self, "gyro", gyro)
         object.__setattr__(self, "labels", labels)
@@ -126,14 +138,9 @@ class LabeledStream:
         return self.acc.shape[0]
 
 
-def make_windows(stream: LabeledStream, window_s: float, stride_s: float) -> list[SensorWindow]:
-    """Slice a stream into fixed-length windows.
-
-    Window length and hop are round(window_s * rate) and round(stride_s * rate)
-    samples; starts advance by the hop from sample 0.  A window is emitted only
-    when every sample carries the same label; trailing partial windows are
-    dropped.  A stream shorter than one window yields no windows.
-    """
+def _window_shape(stream: LabeledStream, window_s: float, stride_s: float) -> tuple[int, int]:
+    """Window length and hop in samples: round(window_s * rate) and
+    round(stride_s * rate)."""
     window_s = float(window_s)
     stride_s = float(stride_s)
     if not window_s > 0:
@@ -147,23 +154,53 @@ def make_windows(stream: LabeledStream, window_s: float, stride_s: float) -> lis
         raise InputError(
             f"window ({window_s}s) and stride ({stride_s}s) must cover at least one sample at {rate} Hz"
         )
-    labels = stream.labels
-    windows = []
-    for start in range(0, len(stream) - length + 1, hop):
-        stop = start + length
-        first = labels[start]
-        if not bool(np.all(labels[start:stop] == first)):
-            continue
-        label = first.item() if isinstance(first, np.generic) else first
-        windows.append(
-            SensorWindow(
-                acc=stream.acc[start:stop],
-                gyro=stream.gyro[start:stop],
-                label=label,
-                sample_rate_hz=rate,
-            )
+    return length, hop
+
+
+def _window_starts(stream: LabeledStream, length: int, hop: int) -> np.ndarray:
+    """Starts 0, hop, 2*hop, ... whose window lies inside one run of
+    contiguous, equally labeled samples."""
+    n = len(stream)
+    if n < length:
+        return np.empty(0, dtype=np.intp)
+    # a run begins at every label change, segment start and timestamp step
+    # outside (0, 1.5/rate]; NaN steps fail the test and begin one too
+    begins = np.zeros(n, dtype=bool)
+    begins[1:] = np.asarray(stream.labels[1:] != stream.labels[:-1], dtype=bool)
+    begins[list(stream.segment_starts)] = True
+    if stream.timestamps is not None:
+        step = np.diff(stream.timestamps)
+        begins[1:] |= ~((step > 0) & (step <= 1.5 / stream.sample_rate_hz))
+    run = np.cumsum(begins)
+    grid = np.arange(0, n - length + 1, hop)
+    return grid[run[grid] == run[grid + length - 1]]
+
+
+def _plain(label):
+    return label.item() if isinstance(label, np.generic) else label
+
+
+def make_windows(stream: LabeledStream, window_s: float, stride_s: float) -> list[SensorWindow]:
+    """Slice a stream into fixed-length windows.
+
+    Window length and hop are round(window_s * rate) and round(stride_s * rate)
+    samples; starts advance by the hop from sample 0.  A window is emitted only
+    when its samples are contiguous and carry one label: it crosses no label
+    change, no segment start and no timestamp step outside (0, 1.5/rate]
+    seconds (a gap left by dropped rows, or time running backwards).
+    Trailing partial windows are dropped.  A stream shorter than one window
+    yields no windows.
+    """
+    length, hop = _window_shape(stream, window_s, stride_s)
+    return [
+        SensorWindow(
+            acc=stream.acc[start : start + length],
+            gyro=stream.gyro[start : start + length],
+            label=_plain(stream.labels[start]),
+            sample_rate_hz=stream.sample_rate_hz,
         )
-    return windows
+        for start in _window_starts(stream, length, hop).tolist()
+    ]
 
 
 def tilt_bin(window: SensorWindow, bins: int) -> int:
@@ -177,11 +214,14 @@ def tilt_bin(window: SensorWindow, bins: int) -> int:
     bins = operator.index(bins)
     if bins < 1:
         raise InputError(f"tilt bins must be >= 1, got {bins}")
-    mu = window.acc.mean(axis=0)
+    return _tilt_of_mean(window.acc.mean(axis=0), bins, window.label)
+
+
+def _tilt_of_mean(mu: np.ndarray, bins: int, label) -> int:
     norm = float(np.linalg.norm(mu))
     if norm == 0.0:
         raise InputError(
-            f"window (label={window.label!r}) has a zero-norm mean acceleration; tilt is undefined"
+            f"window (label={label!r}) has a zero-norm mean acceleration; tilt is undefined"
         )
     z = abs(float(mu[2])) / norm
     phi = math.acos(min(1.0, z))
@@ -358,21 +398,29 @@ def fit_edges(
     Edges are fitted on the first ceil(fit_fraction * len(windows)) windows,
     so train-only fitting just needs the training prefix first.
     """
-    fit_fraction = float(fit_fraction)
-    if not 0.0 < fit_fraction <= 1.0:
-        raise InputError(f"fit_fraction must lie in (0, 1], got {fit_fraction}")
-    needs_fit = FACTOR_ENERGY in config.factors or FACTOR_RATE in config.factors
-    if not needs_fit:
+    m = _fit_count(config, len(windows), fit_fraction)
+    if m is None:
         return config
-    if not windows:
-        raise InputError("cannot fit quantile edges without windows")
-    subset = windows[: max(1, math.ceil(fit_fraction * len(windows)))]
+    subset = windows[:m]
     out = config
     if FACTOR_ENERGY in config.factors:
         out = replace(out, energy_edges=fit_energy_edges([gyro_energy(w) for w in subset], config.energy_bins))
     if FACTOR_RATE in config.factors:
         out = replace(out, rate_edges=fit_energy_edges([mean_angular_rate(w) for w in subset], config.rate_bins))
     return out
+
+
+def _fit_count(config: AbstractionConfig, windows: int, fit_fraction: float) -> Optional[int]:
+    """How many leading windows the edges are fitted on; None when the
+    config has no quantile factor."""
+    fit_fraction = float(fit_fraction)
+    if not 0.0 < fit_fraction <= 1.0:
+        raise InputError(f"fit_fraction must lie in (0, 1], got {fit_fraction}")
+    if FACTOR_ENERGY not in config.factors and FACTOR_RATE not in config.factors:
+        return None
+    if not windows:
+        raise InputError("cannot fit quantile edges without windows")
+    return max(1, math.ceil(fit_fraction * windows))
 
 
 def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey:
@@ -394,6 +442,82 @@ def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey
     return StateKey(config.factors, values)
 
 
+def _window_means(per_sample: np.ndarray, length: int, hop: int, starts: np.ndarray) -> np.ndarray:
+    # reduce the strided view of every grid window, then keep the wanted
+    # ones: indexing the view with ``starts`` would copy each window
+    return sliding_window_view(per_sample, length, axis=0)[::hop].mean(axis=-1)[starts // hop]
+
+
+def _window_features(stream: LabeledStream, length: int, hop: int, starts: np.ndarray,
+                     factors: Sequence[str]) -> dict:
+    """Per-window inputs of the binned factors among ``factors``: the mean
+    acceleration (W, 3) for tilt, ``gyro_energy`` and ``mean_angular_rate``."""
+    out = {}
+    if FACTOR_TILT in factors:
+        out[FACTOR_TILT] = _window_means(stream.acc, length, hop, starts)
+    if FACTOR_ENERGY in factors:
+        g = stream.gyro
+        out[FACTOR_ENERGY] = _window_means(np.sum(g * g, axis=1), length, hop, starts)
+    if FACTOR_RATE in factors:
+        out[FACTOR_RATE] = _window_means(np.linalg.norm(stream.gyro, axis=1), length, hop, starts)
+    return out
+
+
+def _bins(values: np.ndarray, edges: tuple[float, ...]) -> list[int]:
+    """``energy_bin`` of each value against validated edges."""
+    q = len(edges) - 1
+    if edges[0] == edges[-1]:
+        return [0] * len(values)
+    within = values[:, None] <= np.asarray(edges[1:])
+    return np.where(within.any(axis=1), within.argmax(axis=1), q - 1).tolist()
+
+
+def abstract_stream(
+    stream: LabeledStream,
+    config: AbstractionConfig,
+    window_s: float,
+    stride_s: float,
+    fit_fraction: float = 1.0,
+) -> tuple[AbstractionConfig, list[StateKey]]:
+    """``make_windows``, ``fit_edges`` and ``abstract_window`` in one pass.
+
+    Returns the fitted config and one state per window, equal to what the
+    three functions give.  Windows stay index ranges into the stream: each
+    feature is computed once per window by a strided reduction, and windows
+    in the same state share one key object.
+    """
+    length, hop = _window_shape(stream, window_s, stride_s)
+    starts = _window_starts(stream, length, hop)
+    if not starts.size:
+        raise InputError("no label-pure windows could be formed from the stream")
+    m = _fit_count(config, starts.size, fit_fraction)
+    features = _window_features(stream, length, hop, starts, config.factors)
+    if FACTOR_ENERGY in config.factors:
+        config = replace(config, energy_edges=fit_energy_edges(features[FACTOR_ENERGY][:m], config.energy_bins))
+    if FACTOR_RATE in config.factors:
+        config = replace(config, rate_edges=fit_energy_edges(features[FACTOR_RATE][:m], config.rate_bins))
+    labels = [_plain(label) for label in stream.labels[starts].tolist()]
+    columns = []
+    for factor in config.factors:
+        if factor == FACTOR_ACTIVITY:
+            columns.append(labels)
+        elif factor == FACTOR_TILT:
+            bins = config.tilt_bins
+            columns.append([_tilt_of_mean(mu, bins, label) for mu, label in zip(features[factor], labels)])
+        elif factor == FACTOR_ENERGY:
+            columns.append(_bins(features[factor], config.energy_edges))
+        else:
+            columns.append(_bins(features[factor], config.rate_edges))
+    keys: dict[tuple, StateKey] = {}
+    samples = []
+    for values in zip(*columns):
+        key = keys.get(values)
+        if key is None:
+            key = keys[values] = StateKey(config.factors, values)
+        samples.append(key)
+    return config, samples
+
+
 @dataclass(frozen=True)
 class AdmissionRecord:
     """An admission's diagnosis codes as (sequence number, code) in file order."""
@@ -406,6 +530,10 @@ def icd_prefix_state(admission: AdmissionRecord, prefix_len: int = 4) -> StateKe
     """State from the first sequence-1 diagnosis code, truncated to
     ``prefix_len`` characters (whole code when shorter).  Raises
     MissingPrimaryDiagnosis when no usable sequence-1 code exists."""
+    return StateKey(("icd4",), (_icd_prefix(admission, prefix_len),))
+
+
+def _icd_prefix(admission: AdmissionRecord, prefix_len: int = 4) -> str:
     prefix_len = operator.index(prefix_len)
     if prefix_len < 1:
         raise InputError(f"prefix_len must be >= 1, got {prefix_len}")
@@ -416,7 +544,7 @@ def icd_prefix_state(admission: AdmissionRecord, prefix_len: int = 4) -> StateKe
                 raise MissingPrimaryDiagnosis(
                     f"admission {admission.admission_id!r}: sequence-1 diagnosis code is empty"
                 )
-            return StateKey(("icd4",), (code[:prefix_len],))
+            return code[:prefix_len]
     raise MissingPrimaryDiagnosis(
         f"admission {admission.admission_id!r} has no sequence-1 diagnosis"
     )

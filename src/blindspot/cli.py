@@ -16,6 +16,9 @@ from dataclasses import replace
 
 from .abstraction import (
     FACTOR_ORDER,
+    abstract_stream,
+    # no longer called here; the benchmark's --trace 1 looks them up on this
+    # module to time them
     abstract_window,
     fit_edges,
     make_windows,
@@ -192,12 +195,9 @@ def _cmd_ingest(args) -> int:
         if not args.subjects:
             raise UsageError("--pamap2 needs --subjects")
         stream, summary = ingest_pamap2(args.pamap2, args.subjects, args.placement)
-        config = _resolve_config(args)
-        windows = make_windows(stream, args.window_s, args.stride_s)
-        if not windows:
-            raise InputError("no label-pure windows could be formed from the stream")
-        config = fit_edges(config, windows, args.fit_fraction)
-        samples = [abstract_window(w, config) for w in windows]
+        config, samples = abstract_stream(
+            stream, _resolve_config(args), args.window_s, args.stride_s, args.fit_fraction
+        )
         schema = config.factors
         summary.emitted = len(samples)
         if args.save_config is not None:

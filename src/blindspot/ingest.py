@@ -35,7 +35,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .abstraction import AbstractionConfig, AdmissionRecord, LabeledStream, icd_prefix_state
+from .abstraction import (
+    AbstractionConfig,
+    AdmissionRecord,
+    LabeledStream,
+    _icd_prefix,
+    icd_prefix_state,
+)
 from .counts import CountTable, StateKey, build_count_table
 from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis
 from .estimators import RiskWeights
@@ -452,8 +458,9 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
 
     The first sequence-1 row in file order wins; extra sequence-1 rows are
     tallied as duplicates.  Admissions without a usable sequence-1 code are
-    skipped with a logged warning.  The summary counts admissions; the raw
-    diagnosis-row count is carried under notes.
+    skipped with a logged warning.  Admissions with equal ICD prefixes share
+    one key object.  The summary counts admissions; the raw diagnosis-row
+    count is carried under notes.
     """
     summary = IngestionSummary(unit="admissions", sources=(str(path),))
     admissions: dict[str, list[tuple[int, str]]] = {}
@@ -480,6 +487,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
                 admissions.setdefault(adm, []).append((seq, code))
     summary.note("diagnosis-rows", row_count)
     samples: list[StateKey] = []
+    keys: dict[str, StateKey] = {}
     for adm, diags in admissions.items():
         summary.rows_read += 1
         extra_primaries = sum(1 for seq, _ in diags if seq == 1) - 1
@@ -487,11 +495,15 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
             summary.note(NOTE_DUPLICATE_PRIMARY, extra_primaries)
         record = AdmissionRecord(admission_id=adm, diagnoses=tuple(diags))
         try:
-            samples.append(icd_prefix_state(record))
+            prefix = _icd_prefix(record)
         except MissingPrimaryDiagnosis as exc:
             logger.warning("skipping admission: %s", exc)
             summary.drop(DROP_NO_PRIMARY)
             continue
+        key = keys.get(prefix)
+        if key is None:
+            key = keys[prefix] = icd_prefix_state(record)
+        samples.append(key)
         summary.rows_kept += 1
     summary.emitted = len(samples)
     summary.validate()
@@ -516,7 +528,7 @@ def _scan_raw_file(path) -> None:
     # slow diagnostic pass, run only after the fast parser failed
     with _naming_path(path), open(path, encoding="utf-8") as fh, _at_line(path, lambda: lineno):
         for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
+            tokens = line.split("#", 1)[0].split()  # np.loadtxt's comment rule
             if not tokens:
                 continue
             if len(tokens) != _RAW_COLUMNS:
@@ -550,6 +562,8 @@ def _parse_raw_file(path, base: int, summary: IngestionSummary):
             data = np.loadtxt(path, dtype=float, ndmin=2)
         if data.size and data.shape[1] != _RAW_COLUMNS:
             raise ValueError(f"expected {_RAW_COLUMNS} columns, found {data.shape[1]}")
+    except InputError:
+        raise  # undecodable or damaged: the file is named, no scan can add to it
     except ValueError as exc:
         _scan_raw_file(path)
         raise InputError(f"{path}: unreadable numeric data: {exc}") from None
@@ -599,6 +613,11 @@ def ingest_pamap2(
     gyroscope of the chosen placement are consumed.  Activity id 0 marks
     transient breaks and is dropped; NaN samples are forward-filled within
     contiguous same-activity runs and rows still NaN afterwards are dropped.
+
+    The stream keeps each row's timestamp and marks where each recording
+    begins, so no window crosses from one recording into the next, or over
+    rows that were dropped (a timestamp step that is not positive or exceeds
+    1.5 sample periods).
     """
     if placement not in _IMU_BASE:
         raise InputError(f"unknown placement {placement!r}; choose from {list(PLACEMENTS)}")
@@ -626,6 +645,8 @@ def ingest_pamap2(
         parsed = _parse_raw_file(by_subject[s], base, summary)
         if parsed is not None:
             parts.append(parsed)
+    # each recording after the first begins a segment that no window crosses
+    segment_starts = np.cumsum([len(p[1]) for p in parts[:-1]], dtype=int).tolist()
     if parts:
         ts = np.concatenate([p[0] for p in parts])
         labels = np.concatenate([p[1] for p in parts])
@@ -637,7 +658,8 @@ def ingest_pamap2(
         acc = np.empty((0, 3))
         gyro = np.empty((0, 3))
     stream = LabeledStream(
-        acc=acc, gyro=gyro, labels=labels, sample_rate_hz=_SAMPLE_RATE_HZ, timestamps=ts
+        acc=acc, gyro=gyro, labels=labels, sample_rate_hz=_SAMPLE_RATE_HZ, timestamps=ts,
+        segment_starts=segment_starts,
     )
     summary.rows_kept = len(stream)
     summary.emitted = len(stream)

@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindspot import (
+    FACTOR_ORDER,
+    PRESETS,
     AbstractionConfig,
     AdmissionRecord,
     InputError,
     LabeledStream,
     MissingPrimaryDiagnosis,
     SensorWindow,
+    abstract_stream,
     abstract_window,
     energy_bin,
     fit_edges,
@@ -25,6 +28,7 @@ from blindspot import (
     preset,
     tilt_bin,
 )
+from blindspot.abstraction import _window_features, _window_starts
 from conftest import key
 
 
@@ -89,6 +93,50 @@ class TestMakeWindows:
     def test_sub_sample_window_rejected(self):
         with pytest.raises(InputError):
             make_windows(constant_stream(100, rate=1.0), 0.2, 0.2)
+
+    def test_timestamp_gap_ends_a_window_run(self):
+        # samples 1000.. follow a 5 s gap: the start-750 window would span it
+        base = constant_stream(2000)
+        ts = np.arange(2000) * 0.01
+        ts[1000:] += 5.0
+        stream = LabeledStream(base.acc, base.gyro, base.labels, 100.0, timestamps=ts)
+        starts = [0, 250, 500, 1000, 1250, 1500]
+        assert len(make_windows(base, 5.0, 2.5)) == 7
+        assert [w.acc.shape[0] for w in make_windows(stream, 5.0, 2.5)] == [500] * 6
+        assert _window_starts(stream, 500, 250).tolist() == starts
+
+    @pytest.mark.parametrize(
+        "step,starts",
+        # a NaN timestamp makes every later step NaN
+        [(0.0, [0, 10]), (-0.01, [0, 10]), (0.016, [0, 10]), (float("nan"), [0])],
+    )
+    def test_timestamp_step_outside_one_and_a_half_samples_breaks(self, step, starts):
+        base = constant_stream(20)
+        ts = np.arange(20) * 0.01
+        ts[10:] = ts[9] + step + np.arange(10) * 0.01  # the step from sample 9 to 10
+        stream = LabeledStream(base.acc, base.gyro, base.labels, 100.0, timestamps=ts)
+        assert _window_starts(stream, 10, 5).tolist() == starts
+
+    def test_jittered_timestamps_stay_contiguous(self):
+        base = constant_stream(20)
+        ts = np.arange(20) * 0.01 + np.tile([0.0, 0.004], 10)  # steps 0.014 and 0.006
+        stream = LabeledStream(base.acc, base.gyro, base.labels, 100.0, timestamps=ts)
+        assert _window_starts(stream, 10, 5).tolist() == [0, 5, 10]
+
+    def test_windows_never_cross_segment_starts(self):
+        base = constant_stream(1600)
+        stream = LabeledStream(base.acc, base.gyro, base.labels, 100.0, segment_starts=[1000])
+        assert len(make_windows(base, 5.0, 2.5)) == 5
+        assert _window_starts(stream, 500, 250).tolist() == [0, 250, 500, 1000]
+        assert len(make_windows(stream, 5.0, 2.5)) == 4
+
+    def test_segment_starts_validated(self):
+        base = constant_stream(10)
+        for bad in ([10], [-1]):
+            with pytest.raises(InputError, match="segment starts"):
+                LabeledStream(base.acc, base.gyro, base.labels, 100.0, segment_starts=bad)
+        stream = LabeledStream(base.acc, base.gyro, base.labels, 100.0, segment_starts=np.array([0, 4]))
+        assert stream.segment_starts == (0, 4)
 
 
 class TestTiltBin:
@@ -318,6 +366,89 @@ class TestFitAndAbstract:
         assert all(s.names == ("activity", "tilt", "energy", "rate") for s in states)
         # nine distinct energies over eight quantile bins: every bin occupied
         assert {s.value_of("energy") for s in states} == {str(b) for b in range(8)}
+
+
+@st.composite
+def labeled_streams(draw):
+    """Streams at 10 Hz with random label runs, timestamp gaps, recording
+    boundaries and sensor values."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 60)), min_size=1, max_size=8))
+    labels = np.concatenate([np.full(length, label, dtype=np.int64) for label, length in runs])
+    n = labels.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = np.full(n, 0.1)
+    gaps = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    steps[gaps] = draw(st.sampled_from([0.5, 0.0, -0.3]))
+    acc = rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.8]
+    gyro = rng.normal(0.0, 1.0, (n, 3)) * rng.lognormal(0.0, 1.0, (n, 1))
+    segment_starts = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    return LabeledStream(acc, gyro, labels, 10.0, timestamps=np.cumsum(steps),
+                         segment_starts=segment_starts)
+
+
+class TestAbstractStream:
+    """The one-pass path against make_windows -> fit_edges -> abstract_window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=labeled_streams(),
+        length=st.integers(1, 25),
+        hop_fraction=st.floats(0.01, 1.0),
+        name=st.sampled_from(sorted(PRESETS)),
+        fit_fraction=st.sampled_from([0.05, 0.3, 0.5, 0.99, 1.0]),
+    )
+    def test_matches_the_per_window_functions(self, stream, length, hop_fraction, name, fit_fraction):
+        hop = max(1, round(length * hop_fraction))
+        window_s, stride_s = length / 10.0, hop / 10.0
+        windows = make_windows(stream, window_s, stride_s)
+        if not windows:
+            with pytest.raises(InputError, match="^no label-pure windows could be formed from the stream$"):
+                abstract_stream(stream, preset(name), window_s, stride_s, fit_fraction)
+            return
+        starts = _window_starts(stream, length, hop)
+        assert [w.length for w in windows] == [length] * starts.size
+        features = _window_features(stream, length, hop, starts, FACTOR_ORDER)
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(features["tilt"], [w.acc.mean(axis=0) for w in windows], **close)
+        np.testing.assert_allclose(features["energy"], [gyro_energy(w) for w in windows], **close)
+        np.testing.assert_allclose(features["rate"], [mean_angular_rate(w) for w in windows], **close)
+
+        expected_config = fit_edges(preset(name), windows, fit_fraction)
+        expected = [abstract_window(w, expected_config) for w in windows]
+        config, states = abstract_stream(stream, preset(name), window_s, stride_s, fit_fraction)
+        assert states == expected
+        for edges in ("energy_edges", "rate_edges"):
+            if getattr(expected_config, edges) is None:
+                assert getattr(config, edges) is None
+            else:
+                assert getattr(config, edges) == pytest.approx(getattr(expected_config, edges), rel=1e-12)
+
+    def test_equal_states_share_one_key(self):
+        a = constant_stream(1000, label=1)
+        b = constant_stream(1000, label=2)
+        stream = LabeledStream(
+            acc=np.vstack([a.acc, b.acc]),
+            gyro=np.vstack([a.gyro, b.gyro]),
+            labels=np.concatenate([a.labels, b.labels]),
+            sample_rate_hz=100.0,
+        )
+        config, states = abstract_stream(stream, preset("activity-tilt"), 5.0, 2.5)
+        assert config == preset("activity-tilt")
+        assert states == [key(activity=1, tilt=0)] * 3 + [key(activity=2, tilt=0)] * 3
+        assert states[0] is states[1] is states[2]
+        assert states[3] is states[4] is states[5]
+
+    def test_zero_norm_tilt_message(self):
+        stream = constant_stream(1000, label=4, acc=(0.0, 0.0, 0.0))
+        with pytest.raises(InputError, match=r"^window \(label=4\) has a zero-norm mean acceleration; tilt is undefined$"):
+            abstract_stream(stream, preset("activity-tilt"), 5.0, 2.5)
+
+    def test_validation_matches_the_per_window_functions(self):
+        stream = constant_stream(1000)
+        with pytest.raises(InputError, match="stride_s"):
+            abstract_stream(stream, preset("activity"), 5.0, 6.0)
+        with pytest.raises(InputError, match="fit_fraction"):
+            abstract_stream(stream, preset("activity"), 5.0, 2.5, fit_fraction=0.0)
 
 
 class TestSensorTypes:

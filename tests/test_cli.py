@@ -499,3 +499,22 @@ class TestIngest:
         code = main(["ingest", "--pamap2", str(dat), "--subjects", "101", "--window-s", "5"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_pamap2_zero_mean_acceleration_exit_2(self, capsys, tmp_path):
+        rows = []
+        for i in range(100):
+            row = ["0"] * 54
+            row[0] = format(0.01 * i, ".2f")
+            row[1] = "4"
+            row[27:30] = ["0.3", "0.1", "0.2"]  # chest gyro; the chest acc stays 0
+            rows.append(" ".join(row))
+        dat = tmp_path / "subject101.dat"
+        dat.write_text("\n".join(rows) + "\n")
+        code = main(["ingest", "--pamap2", str(dat), "--subjects", "101", "--preset", "activity-tilt",
+                     "--window-s", "0.5", "--stride-s", "0.25"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "blindspot: error: window (label=4) has a zero-norm mean acceleration; tilt is undefined\n"
+        )

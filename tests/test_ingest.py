@@ -8,13 +8,17 @@ import re
 import numpy as np
 import pytest
 
+import blindspot.ingest
 from blindspot import (
     AbstractionConfig,
     InputError,
     SweepCell,
+    abstract_stream,
     ingest_diagnoses,
     ingest_pamap2,
     ingest_samples_csv,
+    make_windows,
+    preset,
     read_abstraction_config,
     read_counts_file,
     read_kv_file,
@@ -399,6 +403,15 @@ class TestDiagnosesAdapter:
         samples, _ = ingest_diagnoses(path)
         assert len(samples) == 2
 
+    def test_equal_prefixes_share_one_key(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        path.write_text("hadm_id,seq_num,icd_code\n1,1,41071\n2,1,0389\n3,1,41072\n4,1,4107\n")
+        samples, _ = ingest_diagnoses(path)
+        assert samples == [key(icd4="4107"), key(icd4="0389"), key(icd4="4107"), key(icd4="4107")]
+        assert samples[0] is samples[2] is samples[3]
+        assert samples[0] is not samples[1]
+        assert all(s.names is samples[0].names for s in samples)
+
     @pytest.mark.parametrize(
         "body,pattern",
         [
@@ -588,6 +601,26 @@ class TestRawRecordingAdapter:
         with raises_at(path, "line 2: expected 54 columns, found 53$"):
             ingest_pamap2([path], [101], "chest")
 
+    def test_undecodable_recording_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "subject101.dat"
+        path.write_bytes(" ".join(["0"] * 54).encode() + b"\n\xff\n")
+        scans = []
+        monkeypatch.setattr(blindspot.ingest, "_scan_raw_file", scans.append)
+        with raises_at(path, "'utf-8' codec can't decode byte 0xff"):
+            ingest_pamap2([path], [101], "chest")
+        assert scans == []
+
+    def test_comment_lines_skipped_when_naming_the_bad_line(self, tmp_path):
+        path = tmp_path / "subject101.dat"
+        good = " ".join(["0"] * 54)
+        path.write_text(f"# chest IMU only\n{good}  # a trailing comment\n0 1 2\n")
+        with raises_at(path, "line 3: expected 54 columns, found 3$"):
+            ingest_pamap2([path], [101], "chest")
+        # the parser accepts the same comments once the short row is gone
+        path.write_text(f"# chest IMU only\n{good}  # a trailing comment\n")
+        stream, _ = ingest_pamap2([path], [101], "chest")
+        assert len(stream) == 0  # activity 0 is a transient
+
     def test_empty_recording_gives_empty_stream(self, tmp_path):
         path = tmp_path / "subject101.dat"
         path.write_text("")
@@ -602,3 +635,48 @@ class TestRawRecordingAdapter:
         text = "\n".join(summary.lines())
         assert "transient-activity" in text
         assert "rows read: 2" in text
+
+
+def run_rows(act, count, t0, **kw):
+    return [raw_row(round(t0 + 0.01 * i, 2), act, **kw) for i in range(count)]
+
+
+class TestContiguousWindows:
+    """Windows built from ingested recordings never span rows that were not
+    recorded one after another."""
+
+    def test_same_label_gap_is_not_spliced(self, tmp_path):
+        # the activity-0 rows are dropped; at 5 s / 2.5 s the start-750 window
+        # of the remaining 2000 rows would join the two activity-3 runs
+        path = tmp_path / "subject101.dat"
+        write_dat(path, run_rows(3, 1000, 0.0) + run_rows(0, 500, 10.0) + run_rows(3, 1000, 15.0))
+        stream, _ = ingest_pamap2([path], [101], "chest")
+        assert len(stream) == 2000
+        assert len(make_windows(stream, 5.0, 2.5)) == 6
+        _, states = abstract_stream(stream, preset("activity"), 5.0, 2.5)
+        assert len(states) == 6
+
+    def test_windows_do_not_cross_recordings(self, tmp_path):
+        # the second recording's clock carries on from the first, so only the
+        # file boundary tells the two apart
+        p1 = tmp_path / "subject101.dat"
+        p2 = tmp_path / "subject105.dat"
+        write_dat(p1, run_rows(3, 1000, 0.0))
+        write_dat(p2, run_rows(3, 600, 10.0))
+        stream, _ = ingest_pamap2([p1, p2], [101, 105], "chest")
+        assert stream.segment_starts == (1000,)
+        windows = make_windows(stream, 5.0, 2.5)
+        # starts 0, 250, 500 in the first file and 1000 in the second; 750 crosses
+        assert len(windows) == 4
+        _, states = abstract_stream(stream, preset("activity"), 5.0, 2.5)
+        assert len(states) == 4
+
+    def test_empty_recording_marks_no_segment(self, tmp_path):
+        p1 = tmp_path / "subject101.dat"
+        p2 = tmp_path / "subject102.dat"
+        p3 = tmp_path / "subject105.dat"
+        write_dat(p1, run_rows(3, 10, 0.0))
+        p2.write_text("")
+        write_dat(p3, run_rows(4, 5, 0.0))
+        stream, _ = ingest_pamap2([p1, p2, p3], [101, 102, 105], "chest")
+        assert stream.segment_starts == (10,)
