@@ -143,11 +143,12 @@ def _window_shape(stream: LabeledStream, window_s: float, stride_s: float) -> tu
     round(stride_s * rate)."""
     window_s = float(window_s)
     stride_s = float(stride_s)
-    if not window_s > 0:
-        raise InputError(f"window_s must be positive, got {window_s}")
+    rate = stream.sample_rate_hz
+    # a finite window_s * rate also bounds stride_s * rate, since stride_s <= window_s
+    if not 0 < window_s * rate < math.inf:
+        raise InputError(f"window_s must be positive and finite at {rate} Hz, got {window_s}")
     if not 0 < stride_s <= window_s:
         raise InputError(f"stride_s must satisfy 0 < stride_s <= window_s, got {stride_s}")
-    rate = stream.sample_rate_hz
     length = round(window_s * rate)
     hop = round(stride_s * rate)
     if length < 1 or hop < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -53,14 +54,19 @@ from .ingest import (
 )
 from .report import (
     TOOL_VERSION,
+    Table,
     build_report,
     bundle_to_json,
+    ceiling_table,
+    curve_table,
     decomposition_obj,
-    format_float,
+    decomposition_table,
+    histogram_table,
     render_json,
     support_histogram,
+    sweep_table,
     sweep_to_json,
-    write_csv_rows,
+    write_csv,
 )
 from .simulator import read_sweep_spec, run_sweep
 
@@ -105,7 +111,8 @@ def _checked(parse, ok, rule: str, keep: tuple[str, ...] = ()):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
-_positive_float = _checked(float, lambda v: v > 0.0, "be > 0")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "be >= 0")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "be finite and > 0")
 _unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 _open_interval_float = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
@@ -223,12 +230,8 @@ def _cmd_curve(args) -> int:
         blind_accuracy=args.blind_accuracy,
         dataset_id=args.dataset_id,
     )
-    rows = []
-    for curve in bundle.curves:
-        for tau, mass in curve.points:
-            rows.append((tau, curve.estimator_mode, format_float(mass)))
     with _out_stream(args.out) as fh:
-        write_csv_rows(fh, ("tau", "mode", "mass"), rows)
+        write_csv(fh, curve_table(bundle.curves))
     if args.json is not None:
         _write_text(args.json, bundle_to_json(bundle))
     return 0
@@ -238,24 +241,18 @@ def _cmd_decompose(args) -> int:
     table = _load_table(args)
     if args.weights is not None:
         weights = read_risk_weights(args.weights, table.schema)
+        unmatched = sum(1 for key in weights.weights if key not in table.counts)
+        if unmatched:
+            print(f"blindspot: warning: {unmatched} weight key(s) match no observed state",
+                  file=sys.stderr)
         _, decomp = risk_weighted_blindness(
             table, plug_in_distribution(table), weights, args.tau
         )
     else:
         decomp = blindness_decomposition(table, args.tau)
     decomp = replace(decomp, entries=decomp.entries[: args.top_k])
-    rows = [
-        (
-            e.state.serialize(),
-            e.count,
-            format_float(e.prob),
-            format_float(e.weight),
-            format_float(e.contribution),
-        )
-        for e in decomp.entries
-    ]
     with _out_stream(args.out) as fh:
-        write_csv_rows(fh, ("state", "count", "prob", "weight", "contribution"), rows)
+        write_csv(fh, decomposition_table(decomp))
     if args.json is not None:
         _write_text(args.json, render_json(decomposition_obj(decomp)) + "\n")
     return 0
@@ -270,17 +267,15 @@ def _cmd_ceiling(args) -> int:
         a = chance_accuracy(args.classes)
     curve = blind_spot_curve(table, args.tau_max, mode=args.mode)
     ceil = ceiling_curve(curve, a)
-    rows = [(tau, format_float(b), format_float(c)) for tau, b, c in ceil.points]
     with _out_stream(args.out) as fh:
-        write_csv_rows(fh, ("tau", "blind_mass", "ceiling"), rows)
+        write_csv(fh, ceiling_table(ceil))
     return 0
 
 
 def _cmd_histogram(args) -> int:
     table = _load_table(args)
-    rows = [(key.serialize(), count) for key, count in support_histogram(table)]
     with _out_stream(args.out) as fh:
-        write_csv_rows(fh, ("state", "count"), rows)
+        write_csv(fh, histogram_table(support_histogram(table)))
     return 0
 
 
@@ -289,20 +284,9 @@ def _cmd_wilson(args) -> int:
     for lineno, label, s, t in read_class_accuracies(args.input):
         with _at_line(args.input, lambda: lineno):
             lower, upper = wilson_interval(s, t, args.confidence)
-        rows.append(
-            (
-                label,
-                s,
-                t,
-                format_float(s / t),
-                format_float(lower),
-                format_float(upper),
-            )
-        )
+        rows.append((label, s, t, s / t, lower, upper))
     with _out_stream(args.out) as fh:
-        write_csv_rows(
-            fh, ("class", "successes", "trials", "p_hat", "lower", "upper"), rows
-        )
+        write_csv(fh, Table(("class", "successes", "trials", "p_hat", "lower", "upper"), rows))
     return 0
 
 
@@ -313,31 +297,8 @@ def _cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else (spec_trials if spec_trials is not None else 100)
     seed = args.seed if args.seed is not None else (spec_seed if spec_seed is not None else 0)
     result = run_sweep(cells, trials, seed)
-
-    header = ["family", "params", "K", "n", "tau", "trials", "true_mean", "true_std"]
-    for mode in ESTIMATOR_MODES:
-        header.extend([f"{mode}_mean", f"{mode}_std", f"{mode}_mae"])
-    rows = []
-    for cs in result.cells:
-        cell = cs.cell
-        row = [
-            cell.family,
-            ";".join(f"{k}={format(v, 'g')}" for k, v in cell.params),
-            cell.size,
-            cell.n,
-            cell.tau,
-            cs.trials,
-            format_float(cs.true_mean),
-            format_float(cs.true_std),
-        ]
-        by_mode = {m.mode: m for m in cs.estimates}
-        for mode in ESTIMATOR_MODES:
-            m = by_mode[mode]
-            row.extend([format_float(m.mean), format_float(m.std), format_float(m.mean_abs_error)])
-        rows.append(row)
     with _out_stream(args.out) as fh:
-        write_csv_rows(fh, header, rows)
-
+        write_csv(fh, sweep_table(result))
     if args.json is not None:
         _write_text(args.json, sweep_to_json(result))
     return 0
@@ -443,7 +404,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="Monte-Carlo estimator check against known distributions")
     p.add_argument("--spec", required=True, metavar="PATH", help="sweep grid spec (key = value lines)")
     p.add_argument("--trials", type=_positive_int, help="trials per cell (overrides the sweep file)")
-    p.add_argument("--seed", type=int, help="master seed (overrides the sweep file)")
+    p.add_argument("--seed", type=_nonnegative_int, help="master seed (overrides the sweep file)")
     p.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
     p.add_argument("--json", metavar="PATH", help="also write full results as JSON")
     p.set_defaults(handler=_cmd_simulate)

@@ -1,13 +1,17 @@
 """Report assembly and deterministic rendering.
 
-JSON output is produced by a renderer with a fixed, documented field order
-and ``.17g`` float formatting, so two runs over identical inputs produce
-byte-identical documents.  CSV output uses LF line endings and six-decimal
-floats.
+Each result (blind-spot curve, decomposition, ceiling, histogram, sweep) is
+described once, as a ``Table`` of field names and rows built here.  The CSV
+writer and the JSON renderer both take that table: ``write_csv`` writes the
+fields as the header and one line per row, ``render_json`` one object per
+row keyed by the fields in order.  JSON has ``.17g`` floats and a fixed
+field order, so two runs over identical inputs produce byte-identical
+documents; CSV has LF line endings and six-decimal floats.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -17,6 +21,7 @@ from .abstraction import AbstractionConfig
 from .counts import CountTable, StateKey, freq_of_freqs
 from .errors import InputError, InvariantViolation
 from .estimators import (
+    ESTIMATOR_MODES,
     EXTENSION_MODE_NOTES,
     MODE_PLUGIN,
     BlindnessDecomposition,
@@ -31,6 +36,7 @@ from .simulator import SweepResult
 
 __all__ = [
     "TOOL_VERSION",
+    "Table",
     "ReportBundle",
     "support_histogram",
     "build_report",
@@ -39,31 +45,85 @@ __all__ = [
     "decomposition_obj",
     "sweep_to_json",
     "format_float",
-    "write_csv_rows",
+    "write_csv",
+    "curve_table",
+    "decomposition_table",
+    "ceiling_table",
+    "histogram_table",
+    "sweep_table",
 ]
 
 TOOL_VERSION = "0.1.0"
 
-_FLOAT_FMT = "%.6f"
-
 
 def format_float(value: float) -> str:
     """Fixed six-decimal rendering used by every CSV the package writes."""
-    return _FLOAT_FMT % (value,)
+    return "%.6f" % (value,)
 
 
-def write_csv_rows(fh, header: Sequence[str], rows) -> None:
-    import csv
+@dataclass(frozen=True)
+class Table:
+    """One result: field names and rows of values, one value per field."""
 
+    fields: tuple[str, ...]
+    rows: Sequence[Sequence]
+
+
+def write_csv(fh, table: Table) -> None:
+    """``table.fields`` as the header, then one line per row; floats go
+    through ``format_float``, every other value as ``csv`` writes it."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow(list(row))
+    writer.writerow(table.fields)
+    writer.writerows(
+        [format_float(v) if isinstance(v, float) else v for _, v in zip(table.fields, row, strict=True)]
+        for row in table.rows
+    )
 
 
 def support_histogram(table: CountTable) -> list[tuple[StateKey, int]]:
     """(state, count) pairs, most frequent first; ties by state order."""
     return sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0].values))
+
+
+def histogram_table(histogram: Sequence[tuple[StateKey, int]]) -> Table:
+    return Table(("state", "count"), [(key.serialize(), count) for key, count in histogram])
+
+
+def curve_table(curves: Sequence[BlindSpotCurve]) -> Table:
+    """Every curve in long form: one ``tau,mode,mass`` row per point."""
+    return Table(
+        ("tau", "mode", "mass"),
+        [(tau, c.estimator_mode, mass) for c in curves for tau, mass in c.points],
+    )
+
+
+def ceiling_table(ceiling: CeilingCurve) -> Table:
+    return Table(("tau", "blind_mass", "ceiling"), ceiling.points)
+
+
+def decomposition_table(d: BlindnessDecomposition) -> Table:
+    return Table(
+        ("state", "count", "prob", "weight", "contribution"),
+        [(e.state.serialize(), e.count, e.prob, e.weight, e.contribution) for e in d.entries],
+    )
+
+
+def sweep_table(result: SweepResult) -> Table:
+    """One row per cell with every mode's mean, std and mean absolute error."""
+    fields = ["family", "params", "K", "n", "tau", "trials", "true_mean", "true_std"]
+    for mode in ESTIMATOR_MODES:
+        fields.extend([f"{mode}_mean", f"{mode}_std", f"{mode}_mae"])
+    rows = []
+    for cs in result.cells:
+        cell = cs.cell
+        params = ";".join(f"{k}={format(v, 'g')}" for k, v in cell.params)
+        row = [cell.family, params, cell.size, cell.n, cell.tau, cs.trials, cs.true_mean, cs.true_std]
+        by_mode = {m.mode: m for m in cs.estimates}
+        for mode in ESTIMATOR_MODES:
+            m = by_mode[mode]
+            row.extend([m.mean, m.std, m.mean_abs_error])
+        rows.append(row)
+    return Table(tuple(fields), rows)
 
 
 @dataclass(frozen=True)
@@ -139,6 +199,7 @@ def _render_float(x: float) -> str:
 
 def render_json(value) -> str:
     """Compact JSON with insertion-ordered objects and ``.17g`` floats.
+    A ``Table`` renders as an array of objects keyed by its fields.
     Strings are escaped as ``json.dumps(..., ensure_ascii=False)`` does."""
     if value is None:
         return "null"
@@ -152,6 +213,13 @@ def render_json(value) -> str:
         return str(value)
     if isinstance(value, float):
         return _render_float(value)
+    if isinstance(value, Table):
+        keys = [encode_basestring(k) + ":" for k in value.fields]
+        objects = [
+            "{" + ",".join([k + render_json(v) for k, v in zip(keys, row, strict=True)]) + "}"
+            for row in value.rows
+        ]
+        return "[" + ",".join(objects) + "]"
     if isinstance(value, Mapping):
         items = (f"{encode_basestring(str(k))}:{render_json(v)}" for k, v in value.items())
         return "{" + ",".join(items) + "}"
@@ -160,78 +228,45 @@ def render_json(value) -> str:
     raise InvariantViolation(f"cannot render {type(value).__name__} as JSON")
 
 
-def _curve_obj(curve: BlindSpotCurve) -> dict:
-    return {
-        "mode": curve.estimator_mode,
-        "n": curve.n,
-        "k_eff": curve.k_observed,
-        "points": [{"tau": t, "mass": m} for t, m in curve.points],
-    }
-
-
 def decomposition_obj(d: BlindnessDecomposition) -> dict:
     """JSON layout of one decomposition, for ``render_json``."""
-    return {
-        "tau": d.tau,
-        "total": d.total,
-        "entries": [
-            {
-                "state": e.state.serialize(),
-                "count": e.count,
-                "prob": e.prob,
-                "weight": e.weight,
-                "contribution": e.contribution,
-            }
-            for e in d.entries
-        ],
-    }
+    return {"tau": d.tau, "total": d.total, "entries": decomposition_table(d)}
 
 
 def bundle_to_json(bundle: ReportBundle) -> str:
+    curves = [
+        (c.estimator_mode, c.n, c.k_observed, Table(("tau", "mass"), c.points))
+        for c in bundle.curves
+    ]
     doc = {
         "metadata": bundle.metadata,
-        "curves": [_curve_obj(c) for c in bundle.curves],
+        "curves": Table(("mode", "n", "k_eff", "points"), curves),
         "decompositions": [decomposition_obj(d) for d in bundle.decompositions],
         "ceiling": {
             "assumed_blind_accuracy": bundle.ceiling.assumed_blind_accuracy,
-            "points": [
-                {"tau": t, "blind_mass": b, "ceiling": c} for t, b, c in bundle.ceiling.points
-            ],
+            "points": ceiling_table(bundle.ceiling),
         },
-        "histogram": [
-            {"state": key.serialize(), "count": count} for key, count in bundle.histogram
-        ],
+        "histogram": histogram_table(bundle.histogram),
     }
     return render_json(doc) + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:
     """The ``simulate --json`` document."""
+    estimate_fields = ("mode", "mean", "std", "mean_abs_error")
+    cells = [
+        (cs.cell.family, dict(cs.cell.params), cs.cell.size, cs.cell.n, cs.cell.tau,
+         cs.true_mean, cs.true_std,
+         Table(estimate_fields, [(m.mode, m.mean, m.std, m.mean_abs_error) for m in cs.estimates]))
+        for cs in result.cells
+    ]
     doc = {
         "tool_version": TOOL_VERSION,
         "generator": result.generator,
         "master_seed": result.master_seed,
         "trials": result.trials,
-        "cells": [
-            {
-                "family": cs.cell.family,
-                "params": dict(cs.cell.params),
-                "K": cs.cell.size,
-                "n": cs.cell.n,
-                "tau": cs.cell.tau,
-                "true_mean": cs.true_mean,
-                "true_std": cs.true_std,
-                "estimates": [
-                    {
-                        "mode": m.mode,
-                        "mean": m.mean,
-                        "std": m.std,
-                        "mean_abs_error": m.mean_abs_error,
-                    }
-                    for m in cs.estimates
-                ],
-            }
-            for cs in result.cells
-        ],
+        "cells": Table(
+            ("family", "params", "K", "n", "tau", "true_mean", "true_std", "estimates"), cells
+        ),
     }
     return render_json(doc) + "\n"

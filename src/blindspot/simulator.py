@@ -350,6 +350,8 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise InputError(f"master seed must be >= 0, got {master_seed}")
     cells = list(cells)
     if not cells:
         raise InputError("sweep needs at least one cell")

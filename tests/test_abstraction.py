@@ -90,6 +90,19 @@ class TestMakeWindows:
         with pytest.raises(InputError):
             make_windows(stream, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "window_s, stride_s",
+        [(math.inf, 2.5), (math.nan, 2.5), (1e307, 2.5),
+         (5.0, math.inf), (5.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_non_finite_sample_counts_rejected(self, window_s, stride_s):
+        # 1e307 s at 100 Hz is 1e309 samples, which overflows to inf
+        stream = constant_stream(1000)
+        with pytest.raises(InputError):
+            make_windows(stream, window_s, stride_s)
+        with pytest.raises(InputError):
+            abstract_stream(stream, preset("activity"), window_s, stride_s, 1.0)
+
     def test_sub_sample_window_rejected(self):
         with pytest.raises(InputError):
             make_windows(constant_stream(100, rate=1.0), 0.2, 0.2)

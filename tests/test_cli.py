@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindspot import read_abstraction_config, read_samples_file
-from blindspot.cli import main
+from blindspot.cli import _build_parser, main
 from conftest import DATA_DIR
 
 COUNTS = str(DATA_DIR / "activity_counts.csv")
@@ -54,6 +54,26 @@ READER_SEEDS = [
     (GOLDEN_INPUTS / "subject101.dat").read_bytes(),
     b"factors = activity, tilt, energy\ntilt_bins = 6\nenergy_bins = 3\n",
 ]
+
+
+# every numeric flag of each subcommand, after arguments that take the command
+# past parsing: the analysis inputs do not exist, so a value the flag accepts
+# ends in exit 2 there, while the ingest recording is real, so that window
+# lengths reach the windowing code
+ABSENT = "/nonexistent/input.csv"
+NUMERIC_FLAGS = {
+    "ingest": (["--pamap2", PAMAP2, "--subjects", "101"],
+               ["--subjects", "--window-s", "--stride-s", "--tilt-bins", "--energy-bins",
+                "--rate-bins", "--fit-fraction"]),
+    "curve": (["--counts", ABSENT, "--tau-max", "2"], ["--tau-max", "--blind-accuracy"]),
+    "decompose": (["--counts", ABSENT, "--tau", "2"], ["--tau", "--top-k"]),
+    "ceiling": (["--counts", ABSENT, "--tau-max", "2"], ["--tau-max", "--blind-accuracy", "--classes"]),
+    "wilson": (["--input", ABSENT], ["--confidence"]),
+    "simulate": (["--spec", ABSENT], ["--trials", "--seed"]),
+    "report": (["--counts", ABSENT, "--tau-max", "2"],
+               ["--tau-max", "--decompose-tau", "--top-k", "--blind-accuracy"]),
+}
+EXTREME_NUMBERS = ["inf", "nan", "1e308", "-1", "0"]
 
 
 def rows_of(text):
@@ -198,6 +218,54 @@ class TestExitCodes:
 
         check()
 
+    @pytest.mark.parametrize("value", EXTREME_NUMBERS)
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, (_, flags) in NUMERIC_FLAGS.items() for f in flags]
+    )
+    def test_extreme_numbers_exit_1_or_2(self, capsys, tmp_path, command, flag, value):
+        base, _ = NUMERIC_FLAGS[command]
+        argv = [command, *base, flag, value]
+        if command == "ingest":
+            argv += ["--out", str(tmp_path / "samples.csv")]
+        assert main(argv) in (1, 2)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error" not in captured.err
+
+    def test_numeric_flag_table_names_every_typed_flag(self):
+        subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+        typed = {
+            (command, action.option_strings[0])
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions
+            if action.type is not None
+        }
+        listed = {(c, f) for c, (_, flags) in NUMERIC_FLAGS.items() for f in flags}
+        assert typed == listed
+
+    def test_negative_seed_flag_is_usage_error(self, capsys):
+        assert main(["simulate", "--spec", SWEEP, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0, got -1" in captured.err
+
+    def test_negative_spec_seed_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("family = uniform\nK = 3\nn = 4\ntau = 1\nseed = -3\n")
+        assert main(["simulate", "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "blindspot: error: master seed must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("window, code", [("inf", 1), ("1e307", 2)])
+    def test_unbounded_window_length_is_rejected(self, capsys, tmp_path, window, code):
+        argv = ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--window-s", window,
+                "--out", str(tmp_path / "samples.csv")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error" not in captured.err
+
     def test_module_entry_point_exits_2_on_undecodable_input(self, tmp_path):
         bad = tmp_path / "c.csv"
         bad.write_bytes(b"\xff" * 16)
@@ -285,6 +353,18 @@ class TestDecompose:
         doc = json.loads(out_json.read_text())
         assert doc["tau"] == 3
         assert math.isclose(doc["total"], 0.25, abs_tol=1e-15)
+
+    def test_unmatched_weight_keys_warn_on_stderr_only(self, capsys, tmp_path):
+        assert main(["decompose", "--counts", COUNTS, "--tau", "150", "--weights", WEIGHTS]) == 0
+        matched = capsys.readouterr()
+        assert matched.err == ""
+        extra = tmp_path / "w.tsv"
+        unmatched = "activity=Ghost\t0.5\nSwimming\t2\n"
+        extra.write_text((DATA_DIR / "activity_weights.tsv").read_text() + unmatched)
+        assert main(["decompose", "--counts", COUNTS, "--tau", "150", "--weights", str(extra)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == matched.out
+        assert captured.err == "blindspot: warning: 2 weight key(s) match no observed state\n"
 
     def test_top_k_truncates(self, capsys, tmp_path):
         counts = tmp_path / "c.csv"

@@ -1,9 +1,13 @@
 """Report assembly and deterministic JSON rendering."""
 
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindspot import (
     MODE_GENERALIZED_GT,
@@ -20,6 +24,7 @@ from blindspot import (
     support_histogram,
 )
 from blindspot.counts import freq_of_freqs
+from blindspot.report import Table, write_csv
 from conftest import key, random_single_table, table_of
 
 import random
@@ -58,6 +63,50 @@ class TestRenderJson:
     def test_unsupported_type_rejected(self):
         with pytest.raises(InvariantViolation):
             render_json({1, 2})
+
+
+SCALARS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+TABLES = st.lists(st.text(), unique=True, max_size=6).flatmap(
+    lambda fields: st.builds(
+        Table,
+        st.just(tuple(fields)),
+        st.lists(st.lists(SCALARS, min_size=len(fields), max_size=len(fields)), max_size=5),
+    )
+)
+
+
+class TestTable:
+    @settings(max_examples=200, deadline=None)
+    @given(TABLES)
+    def test_json_equals_one_object_per_row(self, table):
+        records = [dict(zip(table.fields, row)) for row in table.rows]
+        assert render_json(table) == render_json(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TABLES)
+    def test_csv_formats_each_float_cell(self, table):
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(list(table.fields))
+        for row in table.rows:
+            writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+        got = io.StringIO()
+        write_csv(got, table)
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("row", [(1,), (1, 2, 3)])
+    def test_row_length_must_match_fields(self, row):
+        table = Table(("a", "b"), [(0, 0.5), row])
+        with pytest.raises(ValueError):
+            render_json(table)
+        with pytest.raises(ValueError):
+            write_csv(io.StringIO(), table)
+
+    def test_nested_table_renders_in_place(self):
+        inner = Table(("tau", "mass"), ((1, 0.5), (2, 0.25)))
+        assert render_json(Table(("mode", "points"), [("plugin", inner)])) == (
+            '[{"mode":"plugin","points":[{"tau":1,"mass":0.5},{"tau":2,"mass":0.25}]}]'
+        )
 
 
 class TestFormatting:

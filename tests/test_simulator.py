@@ -245,6 +245,8 @@ class TestSweep:
             run_sweep([], trials=2, master_seed=0)
         with pytest.raises(InputError):
             run_sweep(self.small_cells(), trials=0, master_seed=0)
+        with pytest.raises(InputError, match="master seed must be >= 0"):
+            run_sweep(self.small_cells(), trials=2, master_seed=-1)
         with pytest.raises(InputError):
             SweepCell(family="zipf", params=(("s", 1.0),), size=0, n=10, tau=1)
         with pytest.raises(InputError):
