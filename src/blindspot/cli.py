@@ -41,6 +41,7 @@ from .estimators import (
 from .ingest import (
     PLACEMENTS,
     _at_line,
+    _write_config,
     _write_samples,
     ingest_diagnoses,
     ingest_pamap2,
@@ -50,7 +51,6 @@ from .ingest import (
     read_counts_file,
     read_risk_weights,
     read_samples_file,
-    write_abstraction_config,
 )
 from .report import (
     TOOL_VERSION,
@@ -128,9 +128,11 @@ def _out_stream(path):
             yield fh
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _check_outputs(args) -> None:
+    # "-" is stdout for every output flag; only one output may go there
+    for dest in ("json", "save_config"):
+        if getattr(args, dest, None) == "-" and args.out in (None, "-"):
+            raise UsageError(f"--out and --{dest.replace('_', '-')} would both write to stdout")
 
 
 def _dedupe_modes(modes) -> tuple[str, ...]:
@@ -208,7 +210,8 @@ def _cmd_ingest(args) -> int:
         schema = config.factors
         summary.emitted = len(samples)
         if args.save_config is not None:
-            write_abstraction_config(args.save_config, config)
+            with _out_stream(args.save_config) as fh:
+                _write_config(fh, config)
     with _out_stream(args.out) as fh:
         _write_samples(fh, samples, schema)
     for line in summary.lines():
@@ -233,7 +236,8 @@ def _cmd_curve(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv(fh, curve_table(bundle.curves))
     if args.json is not None:
-        _write_text(args.json, bundle_to_json(bundle))
+        with _out_stream(args.json) as fh:
+            fh.write(bundle_to_json(bundle))
     return 0
 
 
@@ -254,7 +258,8 @@ def _cmd_decompose(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv(fh, decomposition_table(decomp))
     if args.json is not None:
-        _write_text(args.json, render_json(decomposition_obj(decomp)) + "\n")
+        with _out_stream(args.json) as fh:
+            fh.write(render_json(decomposition_obj(decomp)) + "\n")
     return 0
 
 
@@ -300,7 +305,8 @@ def _cmd_simulate(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv(fh, sweep_table(result))
     if args.json is not None:
-        _write_text(args.json, sweep_to_json(result))
+        with _out_stream(args.json) as fh:
+            fh.write(sweep_to_json(result))
     return 0
 
 
@@ -353,7 +359,8 @@ def _build_parser() -> _Parser:
                    help="fit quantile edges on the first fraction of windows (default 1.0)")
     p.add_argument("--key-columns", nargs="+", metavar="COL", help="state columns for --samples-csv")
     p.add_argument("--out", metavar="PATH", help="samples file destination (default stdout)")
-    p.add_argument("--save-config", metavar="PATH", help="write the fitted abstraction config here")
+    p.add_argument("--save-config", metavar="PATH",
+                   help="write the fitted abstraction config here (- for stdout)")
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("curve", help="blind-spot mass as a function of the support threshold")
@@ -365,7 +372,8 @@ def _build_parser() -> _Parser:
                    help="assumed accuracy on blind states for the bundled ceiling (default 0)")
     p.add_argument("--dataset-id", default="", help="free-form dataset label for report metadata")
     p.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    p.add_argument("--json", metavar="PATH", help="also write the full report bundle as JSON")
+    p.add_argument("--json", metavar="PATH",
+                   help="also write the full report bundle as JSON (- for stdout)")
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("decompose", help="which states carry the blind mass at one threshold")
@@ -374,7 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--top-k", type=_positive_int, help="keep only the k largest contributions")
     p.add_argument("--weights", metavar="PATH", help="risk-weights file (state<TAB>weight)")
     p.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    p.add_argument("--json", metavar="PATH", help="also write the decomposition as JSON")
+    p.add_argument("--json", metavar="PATH", help="also write the decomposition as JSON (- for stdout)")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("ceiling", help="accuracy ceiling implied by the blind-spot curve")
@@ -406,7 +414,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=_positive_int, help="trials per cell (overrides the sweep file)")
     p.add_argument("--seed", type=_nonnegative_int, help="master seed (overrides the sweep file)")
     p.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    p.add_argument("--json", metavar="PATH", help="also write full results as JSON")
+    p.add_argument("--json", metavar="PATH", help="also write full results as JSON (- for stdout)")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("report", help="full JSON bundle: curves, decompositions, ceiling, histogram")
@@ -437,6 +445,7 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
+        _check_outputs(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"blindspot: error: {exc}", file=sys.stderr)

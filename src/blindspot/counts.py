@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -200,28 +201,36 @@ class FreqOfFreqs:
     f: Mapping[int, int]
     n: int
     k_observed: int
+    # observed r ascending; _below[i] sums r*f_r over the first i of them
+    _rs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         snapshot: dict[int, int] = {}
-        mass = 0
-        states = 0
-        for r, fr in self.f.items():
+        below = [0]
+        for r, fr in sorted(self.f.items()):
             r = operator.index(r)
             fr = operator.index(fr)
             if r < 1 or fr < 1:
                 raise InputError(f"frequency-of-frequencies entries must be >= 1, got f[{r}]={fr}")
             snapshot[r] = fr
-            mass += r * fr
-            states += fr
-        if mass != self.n:
-            raise InputError(f"sum of r*f_r is {mass} but n={self.n}")
+            below.append(below[-1] + r * fr)
+        if below[-1] != self.n:
+            raise InputError(f"sum of r*f_r is {below[-1]} but n={self.n}")
+        states = sum(snapshot.values())
         if states != self.k_observed:
             raise InputError(f"sum of f_r is {states} but k_observed={self.k_observed}")
         object.__setattr__(self, "f", MappingProxyType(snapshot))
+        object.__setattr__(self, "_rs", tuple(snapshot))
+        object.__setattr__(self, "_below", tuple(below))
 
     @property
     def singletons(self) -> int:
         return self.f.get(1, 0)
+
+    def below(self, t: int) -> int:
+        """The exact integer sum_{r<t} r*f_r."""
+        return self._below[bisect_left(self._rs, t)]
 
 
 @dataclass(frozen=True)

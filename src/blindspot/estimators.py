@@ -21,8 +21,9 @@ Three estimator modes evaluate B(tau) from a table alone:
     (r = 0 gives the missing mass f1/n).  The sum equals the plugin estimate
     at tau+1.  Reports flag it as an extension in their metadata.
 
-All three read the exact integer numerator sum_{r<t} r * f_r at t = tau, or
-t = tau+1 for generalized-gt, and divide by n once.
+All three read the exact integer numerator ``FreqOfFreqs.below(t)`` =
+sum_{r<t} r * f_r at t = tau, or t = tau+1 for generalized-gt, and divide by
+n once.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
 from statistics import NormalDist
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .counts import (
     KNOWN_TRUTH,
@@ -171,24 +171,18 @@ def blind_spot_mass(table: CountTable, dist: EmpiricalDistribution, tau) -> floa
     return math.fsum(p for key, p in dist.probs.items() if table.count(key) < tau)
 
 
-def _mass(below: Callable[[int], int], tau: int, f1: int, n: int, mode: str) -> float:
-    """Blind mass at ``tau`` from ``below(t)``, the integer sum_{r<t} r*f_r."""
+def _mass(fof: FreqOfFreqs, tau: int, mode: str) -> float:
+    """Blind mass at ``tau`` from the integer numerator ``fof.below(t)``."""
     if mode == MODE_GENERALIZED_GT:
-        return below(tau + 1) / n
+        return fof.below(tau + 1) / fof.n
     if mode == MODE_PLUGIN_UNSEEN:
-        return min(1.0, (below(tau) + f1) / n)
-    return below(tau) / n
+        return min(1.0, (fof.below(tau) + fof.singletons) / fof.n)
+    return fof.below(tau) / fof.n
 
 
 def mass_estimate(fof: FreqOfFreqs, tau, mode: str = MODE_PLUGIN) -> float:
     """Single-threshold blind-mass estimate from a frequency-of-frequencies."""
-    tau = _check_tau(tau)
-    _check_mode(mode)
-
-    def below(t: int) -> int:
-        return sum(r * fr for r, fr in fof.f.items() if r < t)
-
-    return _mass(below, tau, fof.singletons, fof.n, mode)
+    return _mass(fof, _check_tau(tau), _check_mode(mode))
 
 
 def blind_spot_curve(table: CountTable, tau_max, mode: str = MODE_PLUGIN) -> BlindSpotCurve:
@@ -199,12 +193,7 @@ def blind_spot_curve(table: CountTable, tau_max, mode: str = MODE_PLUGIN) -> Bli
 def curve_from_freqs(fof: FreqOfFreqs, tau_max, mode: str = MODE_PLUGIN) -> BlindSpotCurve:
     tau_max = _check_tau(tau_max)
     _check_mode(mode)
-    # below[t] = sum_{r<t} r*f_r for t = 0..tau_max+1
-    below = list(accumulate((r * fof.f.get(r, 0) for r in range(tau_max + 1)), initial=0))
-    points = tuple(
-        (tau, _mass(below.__getitem__, tau, fof.singletons, fof.n, mode))
-        for tau in range(1, tau_max + 1)
-    )
+    points = tuple((tau, _mass(fof, tau, mode)) for tau in range(1, tau_max + 1))
     return BlindSpotCurve(
         points=points, estimator_mode=mode, n=fof.n, k_observed=fof.k_observed
     )

@@ -385,6 +385,11 @@ def read_abstraction_config(path) -> AbstractionConfig:
 
 
 def write_abstraction_config(path, config: AbstractionConfig) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_config(fh, config)
+
+
+def _write_config(fh, config: AbstractionConfig) -> None:
     lines = [
         f"factors = {', '.join(config.factors)}",
         f"tilt_bins = {config.tilt_bins}",
@@ -396,8 +401,7 @@ def write_abstraction_config(path, config: AbstractionConfig) -> None:
         lines.append("energy_edges = " + ", ".join(format(e, ".17g") for e in config.energy_edges))
     if config.rate_edges is not None:
         lines.append("rate_edges = " + ", ".join(format(e, ".17g") for e in config.rate_edges))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +523,7 @@ _RAW_COLUMNS = 54
 _IMU_BASE = {"hand": 3, "chest": 20, "ankle": 37}
 # per-IMU layout after the base column: temperature, acc (16g) xyz,
 # acc (6g) xyz, gyro xyz, magnetometer xyz, orientation quaternion
-_ACC_OFFSET = 1
-_GYRO_OFFSET = 7
+_USED_OFFSETS = [1, 2, 3, 7, 8, 9]  # acc (16g) xyz, gyro xyz
 _SAMPLE_RATE_HZ = 100.0
 
 
@@ -540,22 +543,10 @@ def _scan_raw_file(path) -> None:
                     raise InputError(f"non-numeric value {tok!r}") from None
 
 
-def _forward_fill(block: np.ndarray) -> None:
-    # in place, per column; leading NaNs stay NaN
-    m = block.shape[0]
-    idx = np.arange(m)
-    for col in range(block.shape[1]):
-        v = block[:, col]
-        mask = np.isnan(v)
-        if not mask.any():
-            continue
-        pos = np.where(~mask, idx, -1)
-        np.maximum.accumulate(pos, out=pos)
-        take = mask & (pos >= 0)
-        v[take] = v[pos[take]]
-
-
-def _parse_raw_file(path, base: int, summary: IngestionSummary):
+def _parse_raw_file(path, base: int, summary: IngestionSummary) -> np.ndarray:
+    """One recording's kept rows as a (rows, 8) float block, maybe empty:
+    timestamp, activity id, then the 16g acc xyz and gyro xyz of the IMU at
+    column ``base``.  Each dropped row is tallied in ``summary``."""
     try:
         with _naming_path(path), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty files warn; they parse to no rows
@@ -567,40 +558,34 @@ def _parse_raw_file(path, base: int, summary: IngestionSummary):
     except ValueError as exc:
         _scan_raw_file(path)
         raise InputError(f"{path}: unreadable numeric data: {exc}") from None
-    if data.size == 0:
-        return None
-    rows = data.shape[0]
-    summary.rows_read += rows
-    ts = data[:, 0]
-    act = data[:, 1]
-    sensors = np.concatenate(
-        [data[:, base + _ACC_OFFSET : base + _ACC_OFFSET + 3],
-         data[:, base + _GYRO_OFFSET : base + _GYRO_OFFSET + 3]],
-        axis=1,
-    ).copy()
+    # an empty file parses to shape (0, 1)
+    block = data.reshape(-1, _RAW_COLUMNS)[:, [0, 1, *(base + k for k in _USED_OFFSETS)]]
+    del data  # a copy was taken; free the other 46 columns before the fill
+    summary.rows_read += len(block)
 
-    labeled = ~np.isnan(act)
-    summary.drop(DROP_MISSING_LABEL, int(rows - labeled.sum()))
-    ts, act, sensors = ts[labeled], act[labeled], sensors[labeled]
-    labels = act.astype(np.int64)
+    labeled = ~np.isnan(block[:, 1])
+    summary.drop(DROP_MISSING_LABEL, int(len(block) - labeled.sum()))
+    block = block[labeled]
+    block[:, 1] = block[:, 1].astype(np.int64)  # the truncated ids define the runs
 
-    # fill within contiguous same-label runs of the raw recording, before any
-    # rows are removed, so a transient gap is never spliced over
-    if labels.size:
-        boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-        for lo, hi in zip(np.concatenate([[0], boundaries]), np.concatenate([boundaries, [labels.size]])):
-            _forward_fill(sensors[lo:hi])
+    # a NaN takes the last earlier value of its column in its run of equal ids
+    # (none if it leads the run); runs split by transient rows stay apart
+    rows = np.arange(len(block))
+    begins = np.ones(len(block), dtype=bool)
+    begins[1:] = block[1:, 1] != block[:-1, 1]
+    run_start = np.maximum.accumulate(np.where(begins, rows, 0))
+    sensors = block[:, 2:]
+    missing = np.isnan(sensors)
+    donor = np.where(missing, -1, rows[:, None])  # last non-NaN row so far, per column
+    np.maximum.accumulate(donor, axis=0, out=donor)
+    r, c = np.nonzero(missing & (donor >= run_start[:, None]))
+    sensors[r, c] = sensors[donor[r, c], c]
 
-    active = labels != 0
-    summary.drop(DROP_TRANSIENT, int(labels.size - active.sum()))
-    ts, labels, sensors = ts[active], labels[active], sensors[active]
-
+    active = block[:, 1] != 0
     clean = ~np.isnan(sensors).any(axis=1)
-    summary.drop(DROP_NAN, int(labels.size - clean.sum()))
-    ts, labels, sensors = ts[clean], labels[clean], sensors[clean]
-    if labels.size == 0:
-        return None
-    return ts, labels, sensors[:, :3], sensors[:, 3:]
+    summary.drop(DROP_TRANSIENT, int(len(block) - active.sum()))
+    summary.drop(DROP_NAN, int((active & ~clean).sum()))
+    return block[active & clean]
 
 
 def ingest_pamap2(
@@ -610,9 +595,11 @@ def ingest_pamap2(
 
     ``subjects`` selects recordings by the subject number embedded in each
     file name, concatenated in the order given.  The 16g accelerometer and the
-    gyroscope of the chosen placement are consumed.  Activity id 0 marks
-    transient breaks and is dropped; NaN samples are forward-filled within
-    contiguous same-activity runs and rows still NaN afterwards are dropped.
+    gyroscope of the chosen placement are consumed, in one (rows, 8) block
+    per recording.  Activity ids are truncated to integers; rows without one
+    are dropped, and so is id 0, which marks transient breaks.  NaN samples
+    are forward-filled within contiguous same-activity runs and rows still
+    NaN afterwards are dropped.
 
     The stream keeps each row's timestamp and marks where each recording
     begins, so no window crosses from one recording into the next, or over
@@ -640,26 +627,13 @@ def ingest_pamap2(
 
     base = _IMU_BASE[placement]
     summary = IngestionSummary(unit="rows", sources=tuple(str(by_subject[s]) for s in subjects))
-    parts = []
-    for s in subjects:
-        parsed = _parse_raw_file(by_subject[s], base, summary)
-        if parsed is not None:
-            parts.append(parsed)
+    blocks = [_parse_raw_file(by_subject[s], base, summary) for s in subjects]
     # each recording after the first begins a segment that no window crosses
-    segment_starts = np.cumsum([len(p[1]) for p in parts[:-1]], dtype=int).tolist()
-    if parts:
-        ts = np.concatenate([p[0] for p in parts])
-        labels = np.concatenate([p[1] for p in parts])
-        acc = np.concatenate([p[2] for p in parts])
-        gyro = np.concatenate([p[3] for p in parts])
-    else:
-        ts = np.empty(0)
-        labels = np.empty(0, dtype=np.int64)
-        acc = np.empty((0, 3))
-        gyro = np.empty((0, 3))
+    segment_starts = np.cumsum([len(b) for b in blocks if len(b)][:-1], dtype=int).tolist()
+    data = np.concatenate(blocks)
     stream = LabeledStream(
-        acc=acc, gyro=gyro, labels=labels, sample_rate_hz=_SAMPLE_RATE_HZ, timestamps=ts,
-        segment_starts=segment_starts,
+        acc=data[:, 2:5], gyro=data[:, 5:], labels=data[:, 1].astype(np.int64),
+        sample_rate_hz=_SAMPLE_RATE_HZ, timestamps=data[:, 0], segment_starts=segment_starts,
     )
     summary.rows_kept = len(stream)
     summary.emitted = len(stream)

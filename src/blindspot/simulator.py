@@ -285,15 +285,18 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
         for n in ns
         for tau in taus
     ]
-    trials = seed = None
-    try:
-        if "trials" in kv:
-            trials = int(kv["trials"])
-        if "seed" in kv:
-            seed = int(kv["seed"])
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    return cells, trials, seed
+    def single(key: str, least: int):
+        if key not in kv:
+            return None
+        try:
+            value = int(kv[key])
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        if value < least:
+            raise InputError(f"{path}: {key} must be >= {least}, got {value}")
+        return value
+
+    return cells, single("trials", 1), single("seed", 0)
 
 
 

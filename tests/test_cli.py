@@ -255,7 +255,19 @@ class TestExitCodes:
         assert main(["simulate", "--spec", str(spec)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "blindspot: error: master seed must be >= 0, got -3\n"
+        assert captured.err == f"blindspot: error: {spec}: seed must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("line, message", [("trials = 0", "trials must be >= 1, got 0"),
+                                               ("seed = -3", "seed must be >= 0, got -3")])
+    def test_spec_range_errors_name_the_file(self, capsys, tmp_path, line, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"family = uniform\nK = 3\nn = 4\ntau = 1\n{line}\n")
+        # the flags would override both values, but the spec itself is bad
+        assert main(["simulate", "--spec", str(spec), "--trials", "2", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"blindspot: error: {spec}: ")
+        assert captured.err == f"blindspot: error: {spec}: {message}\n"
 
     @pytest.mark.parametrize("window, code", [("inf", 1), ("1e307", 2)])
     def test_unbounded_window_length_is_rejected(self, capsys, tmp_path, window, code):
@@ -322,6 +334,67 @@ class TestCurve:
         assert doc["metadata"]["dataset_id"] == "bench"
         assert doc["metadata"]["n"] == 1674
         assert len(doc["curves"][0]["points"]) == 3
+
+
+    def test_huge_count_exits_0(self, capsys, tmp_path):
+        # the numerator is summed over distinct counts, never indexed by them
+        counts = tmp_path / "c.csv"
+        counts.write_text(f"activity,count\na,1\nb,{10**30}\n")
+        assert main(["curve", "--counts", str(counts), "--tau-max", "2",
+                     "--mode", "plugin", "--mode", "generalized-gt"]) == 0
+        assert rows_of(capsys.readouterr().out)[1:] == [
+            ["1", "plugin", "0.000000"], ["2", "plugin", "0.000000"],
+            ["1", "generalized-gt", "0.000000"], ["2", "generalized-gt", "0.000000"],
+        ]
+
+
+class TestDashMeansStdout:
+    """``-`` names stdout for every output flag, and at most one output may
+    go there."""
+
+    def test_curve_json_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["curve", "--counts", COUNTS, "--tau-max", "2", "--out", "c.csv", "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["n"] == 1674
+        assert sorted(os.listdir(tmp_path)) == ["c.csv"]
+
+    def test_decompose_json_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["decompose", "--counts", COUNTS, "--tau", "150", "--out", "d.csv", "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["tau"] == 150
+        assert sorted(os.listdir(tmp_path)) == ["d.csv"]
+
+    def test_simulate_json_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--spec", SWEEP, "--out", "s.csv", "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 4
+        assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+
+    def test_save_config_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--preset", "activity-tilt-energy",
+                "--window-s", "0.5", "--stride-s", "0.25", "--out", "samples.csv", "--save-config"]
+        assert main(argv + ["cfg.txt"]) == 0
+        saved = (tmp_path / "cfg.txt").read_text()
+        capsys.readouterr()
+        assert main(argv + ["-"]) == 0
+        assert capsys.readouterr().out == saved
+        assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "samples.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--counts", COUNTS, "--tau-max", "2", "--json", "-"],
+        ["curve", "--counts", COUNTS, "--tau-max", "2", "--json", "-", "--out", "-"],
+        ["decompose", "--counts", COUNTS, "--tau", "150", "--json", "-"],
+        ["simulate", "--spec", SWEEP, "--json", "-"],
+        ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--save-config", "-"],
+    ])
+    def test_both_outputs_to_stdout_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "would both write to stdout" in captured.err
+        assert os.listdir(tmp_path) == []
 
 
 class TestDecompose:

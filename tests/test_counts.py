@@ -229,6 +229,14 @@ class TestFreqOfFreqs:
         assert sum(r * fr for r, fr in fof.f.items()) == table.n
         assert sum(fof.f.values()) == table.k_observed
 
+    @given(st.dictionaries(st.integers(min_value=1, max_value=10**20), st.integers(min_value=1, max_value=50),
+                           min_size=1, max_size=20),
+           st.lists(st.integers(min_value=-2, max_value=10**20 + 2), max_size=10))
+    def test_below_is_the_exact_prefix_numerator(self, f, ts):
+        fof = FreqOfFreqs(f=f, n=sum(r * fr for r, fr in f.items()), k_observed=sum(f.values()))
+        for t in [*ts, *f, *(r + 1 for r in f)]:
+            assert fof.below(t) == sum(r * fr for r, fr in f.items() if r < t)
+
     def test_inconsistent_totals_rejected(self):
         with pytest.raises(InputError):
             FreqOfFreqs(f={1: 2}, n=3, k_observed=2)

@@ -151,6 +151,21 @@ class TestCurves:
         for mode, curve in curves.items():
             assert mass_estimate(fof, tau, mode) == curve.mass_at(tau)
 
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=35),
+    )
+    def test_plugin_unseen_exceeds_generalized_gt_by_the_double_count(self, counts, tau):
+        # plugin+unseen adds f1/n to a numerator that already holds the
+        # singletons; before its clamp it exceeds generalized-gt by
+        # (f1 - tau*f_tau)/n
+        fof = freq_of_freqs(table_of({f"v{i}": c for i, c in enumerate(counts)}))
+        f1, f_tau, n = fof.singletons, fof.f.get(tau, 0), fof.n
+        assert (fof.below(tau) + f1) - fof.below(tau + 1) == f1 - tau * f_tau
+        unclamped = (fof.below(tau) + f1) / n
+        assert abs(unclamped - mass_estimate(fof, tau, MODE_GENERALIZED_GT) - (f1 - tau * f_tau) / n) <= 1e-15
+        assert mass_estimate(fof, tau, MODE_PLUGIN_UNSEEN) == min(1.0, unclamped)
+
     def test_curve_constructor_rejects_bad_shapes(self):
         with pytest.raises(InputError):
             BlindSpotCurve(points=((2, 0.1), (1, 0.2)), estimator_mode=MODE_PLUGIN, n=5, k_observed=2)

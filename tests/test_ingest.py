@@ -4,9 +4,13 @@ import gzip
 import logging
 import math
 import re
+import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blindspot.ingest
 from blindspot import (
@@ -533,6 +537,20 @@ class TestRawRecordingAdapter:
         assert len(stream) == 1
         assert summary.dropped == {"transient-activity": 1, "NaN-after-impute": 1}
 
+    def test_fractional_ids_truncate_before_the_run_and_transient_tests(self, tmp_path):
+        nan = float("nan")
+        rows = [
+            raw_row(0.00, 4.2, gyro=(1.0, 2.0, 3.0)),
+            raw_row(0.01, 4.7, gyro=(nan, nan, nan)),  # id 4 as above: same run, filled
+            raw_row(0.02, 0.5),                        # id 0: transient
+        ]
+        path = tmp_path / "subject101.dat"
+        write_dat(path, rows)
+        stream, summary = ingest_pamap2([path], [101], "chest")
+        assert stream.labels.tolist() == [4, 4]
+        assert stream.gyro[1].tolist() == [1.0, 2.0, 3.0]
+        assert summary.dropped == {"transient-activity": 1}
+
     def test_nan_acc_also_filled(self, tmp_path):
         nan = float("nan")
         rows = [
@@ -635,6 +653,92 @@ class TestRawRecordingAdapter:
         text = "\n".join(summary.lines())
         assert "transient-activity" in text
         assert "rows read: 2" in text
+
+
+def reference_ingest(paths, base):
+    """The raw adapter the plain way: per recording, four arrays and a
+    forward fill per label run and column; the arrays concatenated last."""
+    parts, rows_read, dropped = [], 0, {}
+
+    def drop(reason, mask):
+        if mask.any():
+            dropped[reason] = dropped.get(reason, 0) + int(mask.sum())
+
+    for path in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = np.loadtxt(path, ndmin=2)
+        if data.size == 0:
+            continue
+        rows_read += len(data)
+        labeled = ~np.isnan(data[:, 1])
+        drop("missing-label", ~labeled)
+        data = data[labeled]
+        ts, labels = data[:, 0], data[:, 1].astype(np.int64)
+        sensors = data[:, [*range(base + 1, base + 4), *range(base + 7, base + 10)]]
+        bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1), len(labels)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            for col in range(6):
+                last = math.nan  # a NaN that leads its run stays NaN
+                for i in range(lo, hi):
+                    if math.isnan(sensors[i, col]):
+                        sensors[i, col] = last
+                    else:
+                        last = sensors[i, col]
+        active = labels != 0
+        drop("transient-activity", ~active)
+        ts, labels, sensors = ts[active], labels[active], sensors[active]
+        clean = ~np.isnan(sensors).any(axis=1)
+        drop("NaN-after-impute", ~clean)
+        if clean.any():
+            parts.append((ts[clean], labels[clean], sensors[clean]))
+    starts = list(accumulate(len(p[1]) for p in parts))[:-1]
+    if not parts:
+        parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, 6)))]
+    ts, labels, sensors = (np.concatenate(cols) for cols in zip(*parts))
+    return ts, labels, sensors[:, :3], sensors[:, 3:], starts, rows_read, dropped
+
+
+# fractional ids truncate toward zero; -0.5 and 0.5 are transient
+RAW_LABELS = (math.nan, 0.0, 0.5, -0.5, 3.0, 4.2, 4.7, 5.0, 24.0)
+
+
+@st.composite
+def raw_recordings(draw):
+    """One to three recordings of random label runs; each timestamp and
+    sensor cell is NaN with probability 1/4, and a recording may be empty."""
+    recordings = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for label, length in draw(st.lists(st.tuples(st.sampled_from(RAW_LABELS), st.integers(1, 5)),
+                                           max_size=6)):
+            for _ in range(length):
+                nan = draw(st.lists(st.integers(0, 3).map(lambda k: k == 0), min_size=7, max_size=7))
+                v = [math.nan if nan[c] else float(10 * len(rows) + c) for c in range(7)]
+                rows.append((math.nan if nan[6] else 0.01 * len(rows), label, v[:3], v[3:6]))
+        recordings.append(rows)
+    return recordings
+
+
+class TestRawAdapterProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_recordings(), st.sampled_from(sorted(blindspot.ingest._IMU_BASE)))
+    def test_matches_the_per_run_reference(self, tmp_path_factory, recordings, placement):
+        folder = tmp_path_factory.mktemp("raw")
+        base = blindspot.ingest._IMU_BASE[placement]
+        paths = [folder / f"subject{101 + i}.dat" for i in range(len(recordings))]
+        for path, rows in zip(paths, recordings):
+            write_dat(path, [raw_row(ts, act, acc, gyro, base) for ts, act, acc, gyro in rows])
+        stream, summary = ingest_pamap2(paths, [101 + i for i in range(len(paths))], placement)
+        ts, labels, acc, gyro, starts, rows_read, dropped = reference_ingest(paths, base)
+        assert np.array_equal(stream.acc, acc)
+        assert np.array_equal(stream.gyro, gyro)
+        assert stream.labels.dtype == np.int64 and np.array_equal(stream.labels, labels)
+        assert np.array_equal(stream.timestamps, ts, equal_nan=True)
+        assert stream.segment_starts == tuple(starts)
+        assert summary.rows_read == rows_read
+        assert summary.rows_kept == len(labels)
+        assert summary.dropped == dropped
 
 
 def run_rows(act, count, t0, **kw):
