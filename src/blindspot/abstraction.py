@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .counts import StateKey
+from .counts import KeyIndex, StateKey
 from .errors import InputError, MissingPrimaryDiagnosis
 
 __all__ = [
@@ -509,14 +509,8 @@ def abstract_stream(
             columns.append(_bins(features[factor], config.energy_edges))
         else:
             columns.append(_bins(features[factor], config.rate_edges))
-    keys: dict[tuple, StateKey] = {}
-    samples = []
-    for values in zip(*columns):
-        key = keys.get(values)
-        if key is None:
-            key = keys[values] = StateKey(config.factors, values)
-        samples.append(key)
-    return config, samples
+    keys = KeyIndex(config.factors)
+    return config, [keys[values] for values in zip(*columns)]
 
 
 @dataclass(frozen=True)

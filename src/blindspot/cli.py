@@ -192,6 +192,8 @@ def _resolve_config(args):
 
 
 def _cmd_ingest(args) -> int:
+    if args.save_config is not None and args.pamap2 is None:
+        raise UsageError("--save-config needs --pamap2")
     if args.samples_csv is not None:
         if not args.key_columns:
             raise UsageError("--samples-csv needs --key-columns")

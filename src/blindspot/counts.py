@@ -2,10 +2,11 @@
 
 A state is one categorical value per factor of a fixed schema: a
 ``StateKey`` holds the schema's names tuple, shared by every key read under
-it, and a tuple of values.  Tables keep exact integer counts and store only
-observed states, so the frequency-of-frequencies identities hold without
-floating-point slack; probabilities appear only in derived empirical
-distributions.
+it, and a tuple of values; ``KeyIndex`` is the one place that makes keys
+from rows, so equal states share one key.  Tables keep exact integer counts
+and store only observed states, so the frequency-of-frequencies identities
+hold without floating-point slack; probabilities appear only in derived
+empirical distributions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import InputError
 
 __all__ = [
     "StateKey",
+    "KeyIndex",
     "CountTable",
     "FreqOfFreqs",
     "EmpiricalDistribution",
@@ -87,15 +89,8 @@ class StateKey:
 
     def __post_init__(self):
         names = _check_schema(self.names)
-        if isinstance(self.values, str):
-            raise InputError("factor values must be a sequence of values, not a single string")
-        values = tuple(map(_coerce_value, self.values))
-        if len(values) != len(names):
-            raise InputError(
-                f"expected {len(names)} factor values for schema {names}, got {len(values)}"
-            )
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _check_values(names, self.values))
 
     def value_of(self, name: str) -> str:
         try:
@@ -137,6 +132,38 @@ def _check_schema(schema) -> tuple[str, ...]:
     if len(set(schema)) != len(schema):
         raise InputError(f"schema has duplicate factor names: {list(schema)}")
     return schema
+
+
+def _check_values(names: tuple[str, ...], values) -> tuple[str, ...]:
+    """The one home of the factor-value rules; returns a tuple of strings."""
+    if isinstance(values, str):
+        raise InputError("factor values must be a sequence of values, not a single string")
+    values = tuple(map(_coerce_value, values))
+    if len(values) != len(names):
+        raise InputError(
+            f"expected {len(names)} factor values for schema {names}, got {len(values)}"
+        )
+    return values
+
+
+class KeyIndex(dict):
+    """``index[values]`` is the ``StateKey`` under ``schema``: built on first
+    sight with every check ``StateKey(schema, values)`` makes, the same object
+    after.  The schema is checked once, when the first key is built, so a bad
+    schema is reported at the row (and file line) that needed it."""
+
+    def __init__(self, schema: Sequence[str]):
+        super().__init__()
+        self.schema = schema
+
+    def __missing__(self, values: tuple) -> StateKey:
+        if not self:
+            self.schema = _check_schema(self.schema)
+        key = object.__new__(StateKey)
+        object.__setattr__(key, "names", self.schema)
+        object.__setattr__(key, "values", _check_values(self.schema, values))
+        self[values] = key
+        return key
 
 
 @dataclass(frozen=True)
@@ -337,8 +364,8 @@ def coarsen(table: CountTable, projection: Sequence[str]) -> CountTable:
     if missing:
         raise InputError(f"projection names factors absent from schema {list(table.schema)}: {missing}")
     retained = tuple(name for name in table.schema if name in proj)
-    merged: dict[StateKey, int] = {}
+    keys = KeyIndex(retained)
+    merged: Counter[StateKey] = Counter()
     for key, c in table.counts.items():
-        coarse = key.project(retained)
-        merged[coarse] = merged.get(coarse, 0) + c
+        merged[keys[tuple(map(key.value_of, retained))]] += c
     return CountTable(counts=merged, n=table.n, schema=retained)

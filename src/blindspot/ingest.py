@@ -40,9 +40,8 @@ from .abstraction import (
     AdmissionRecord,
     LabeledStream,
     _icd_prefix,
-    icd_prefix_state,
 )
-from .counts import CountTable, StateKey, build_count_table
+from .counts import CountTable, KeyIndex, StateKey
 from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis
 from .estimators import RiskWeights
 
@@ -195,17 +194,13 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
             schema.append(col[len(_FACTOR_PREFIX):])
         schema = tuple(schema)
         width = len(schema)
-        keys: dict[tuple[str, ...], StateKey] = {}
+        keys = KeyIndex(schema)
         samples = []
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
                 if len(row) != width:
                     raise InputError(f"expected {width} fields, found {len(row)}")
-                row = tuple(row)
-                key = keys.get(row)
-                if key is None:
-                    key = keys[row] = StateKey(schema, row)
-                samples.append(key)
+                samples.append(keys[tuple(row)])
     return samples, schema
 
 
@@ -230,13 +225,14 @@ def read_counts_file(path) -> CountTable:
             col[len(_FACTOR_PREFIX):] if col.startswith(_FACTOR_PREFIX) else col.strip()
             for col in header[:-1]
         )
+        keys = KeyIndex(schema)
         counts: dict[StateKey, int] = {}
         total = 0
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
                 if len(row) != len(header):
                     raise InputError(f"expected {len(header)} fields, found {len(row)}")
-                key = StateKey(schema, [v.strip() for v in row[:-1]])
+                key = keys[tuple([v.strip() for v in row[:-1]])]
                 raw = row[-1].strip()
                 try:
                     c = int(raw)
@@ -259,6 +255,7 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
     """Tab-separated ``state<TAB>weight`` lines; ``*`` sets the default weight
     (1.0 when no ``*`` line is present)."""
     schema = tuple(schema)
+    keys = KeyIndex(schema)
     weights: dict[StateKey, float] = {}
     default = None
     with _open_text(path) as fh, _at_line(path, lambda: lineno):
@@ -288,7 +285,7 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
                         f"state factors {list(key.names)} do not match schema {list(schema)}"
                     )
             else:
-                key = StateKey(schema, key_text.split("|"))
+                key = keys[tuple(key_text.split("|"))]
             if key in weights:
                 raise InputError(f"duplicate weight for {key.serialize()!r}")
             weights[key] = w
@@ -427,7 +424,7 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
         missing = [c for c in key_columns if c not in reader.fieldnames]
         if missing:
             raise InputError(f"{path}: missing key column(s) {missing}; header has {reader.fieldnames}")
-        keys: dict[tuple[str, ...], StateKey] = {}
+        keys = KeyIndex(key_columns)
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
                 summary.rows_read += 1
@@ -435,10 +432,7 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
                 if "" in values:
                     summary.drop(DROP_MISSING_LABEL)
                     continue
-                key = keys.get(values)
-                if key is None:
-                    key = keys[values] = StateKey(key_columns, values)
-                samples.append(key)
+                samples.append(keys[values])
                 summary.rows_kept += 1
     summary.emitted = len(samples)
     summary.validate()
@@ -491,7 +485,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
                 admissions.setdefault(adm, []).append((seq, code))
     summary.note("diagnosis-rows", row_count)
     samples: list[StateKey] = []
-    keys: dict[str, StateKey] = {}
+    keys = KeyIndex(("icd4",))
     for adm, diags in admissions.items():
         summary.rows_read += 1
         extra_primaries = sum(1 for seq, _ in diags if seq == 1) - 1
@@ -504,10 +498,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
             logger.warning("skipping admission: %s", exc)
             summary.drop(DROP_NO_PRIMARY)
             continue
-        key = keys.get(prefix)
-        if key is None:
-            key = keys[prefix] = icd_prefix_state(record)
-        samples.append(key)
+        samples.append(keys[(prefix,)])
         summary.rows_kept += 1
     summary.emitted = len(samples)
     summary.validate()
@@ -566,6 +557,9 @@ def _parse_raw_file(path, base: int, summary: IngestionSummary) -> np.ndarray:
     labeled = ~np.isnan(block[:, 1])
     summary.drop(DROP_MISSING_LABEL, int(len(block) - labeled.sum()))
     block = block[labeled]
+    too_big = ~(np.abs(block[:, 1]) < 2.0**63)  # would not survive the int64 cast
+    if too_big.any():
+        raise InputError(f"{path}: activity id {block[too_big, 1][0]:g} is outside (-2**63, 2**63)")
     block[:, 1] = block[:, 1].astype(np.int64)  # the truncated ids define the runs
 
     # a NaN takes the last earlier value of its column in its run of equal ids

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blindspot
 from blindspot import read_abstraction_config, read_samples_file
 from blindspot.cli import _build_parser, main
+from blindspot.report import TOOL_VERSION
 from conftest import DATA_DIR
 
 COUNTS = str(DATA_DIR / "activity_counts.csv")
@@ -298,6 +301,38 @@ class TestExitCodes:
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "blindspot 0.1.0"
+
+    def test_one_version_literal(self):
+        # a regex, not tomllib, so that this runs on Python 3.10
+        pyproject = (SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE).group(1)
+        assert declared == blindspot.__version__ == TOOL_VERSION
+
+    @pytest.mark.parametrize(
+        "body,argv,names",
+        [
+            ("factor:a,factor:a\nx,y\n", ["histogram", "--samples"], "['a', 'a']"),
+            ("a,a,count\nx,y,3\n", ["histogram", "--counts"], "['a', 'a']"),
+            ("act,b\nw,z\n", ["ingest", "--key-columns", "act", "act", "--samples-csv"], "['act', 'act']"),
+        ],
+    )
+    def test_bad_schema_names_the_first_row(self, capsys, tmp_path, body, argv, names):
+        path = tmp_path / "input.csv"
+        path.write_text(body)
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"blindspot: error: {path}: line 2: schema has duplicate factor names: {names}\n"
+        )
+
+    def test_header_only_samples_file_with_bad_schema_has_no_rows(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("factor:a,factor:a\n")
+        assert main(["histogram", "--samples", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {path}: samples file has no data rows\n"
 
 
 class TestCurve:
@@ -643,6 +678,40 @@ class TestIngest:
         fitted = read_abstraction_config(cfg)
         assert fitted.energy_edges is not None
         assert len(fitted.energy_edges) == 4
+
+    @pytest.mark.parametrize("activity", ["1e30", "inf", "-inf"])
+    def test_pamap2_out_of_range_activity_exit_2(self, capsys, tmp_path, activity):
+        rows = []
+        for i in range(100):
+            row = ["0"] * 54
+            row[0] = format(0.01 * i, ".2f")
+            row[1] = activity if i == 60 else "4"
+            row[21:24] = ["0.1", "0.2", "9.8"]
+            rows.append(" ".join(row))
+        dat = tmp_path / "subject101.dat"
+        dat.write_text("\n".join(rows) + "\n")
+        code = main(["ingest", "--pamap2", str(dat), "--subjects", "101",
+                     "--window-s", "0.2", "--stride-s", "0.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"blindspot: error: {dat}: ")
+        assert format(float(activity), "g") in captured.err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--samples-csv", str(GOLDEN_INPUTS / "rows.csv"), "--key-columns", "activity"],
+            ["--diagnoses", str(GOLDEN_INPUTS / "diagnoses.csv")],
+        ],
+    )
+    def test_save_config_without_pamap2_is_usage_error(self, capsys, tmp_path, source):
+        cfg = tmp_path / "cfg.txt"
+        assert main(["ingest", *source, "--save-config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "blindspot: error: --save-config needs --pamap2\n"
+        assert not cfg.exists()
 
     def test_pamap2_no_windows_exit_2(self, capsys, tmp_path):
         row = ["0"] * 54

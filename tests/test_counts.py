@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blindspot.counts
 from blindspot import (
     CountTable,
     EmpiricalDistribution,
@@ -19,6 +20,8 @@ from blindspot import (
     freq_of_freqs,
     plug_in_distribution,
 )
+from blindspot.counts import KeyIndex
+from blindspot.ingest import read_counts_file
 from conftest import ACTIVITY_COUNTS, key, random_multi_table, table_of
 
 # valid factor names and values: non-empty, unpadded, none of = | tab CR LF
@@ -105,6 +108,65 @@ class TestStateKey:
         assert (projected.names, projected.values) == (("c", "a"), ("3", "1"))
         with pytest.raises(InputError):
             k.project(("missing",))
+
+
+class TestKeyIndex:
+    @given(
+        st.lists(TOKENS, min_size=1, max_size=3, unique=True).flatmap(
+            lambda names: st.tuples(
+                st.just(tuple(names)),
+                st.lists(
+                    st.tuples(*[st.sampled_from(["x", "y", 1, 2])] * len(names)),
+                    min_size=1,
+                    max_size=20,
+                ),
+            )
+        )
+    )
+    def test_interned_keys_equal_the_public_constructor(self, names_rows):
+        names, rows = names_rows
+        index = KeyIndex(names)
+        keys = [index[values] for values in rows]
+        for values, k in zip(rows, keys):
+            public = StateKey(names, values)
+            assert k == public and hash(k) == hash(public)
+            assert k.names is names and index.schema is names
+            assert index[values] is k
+        assert len({id(k) for k in keys}) == len(set(rows)) == len(index)
+
+    def test_schema_errors_wait_for_the_first_key(self):
+        index = KeyIndex(("a", "a"))
+        with pytest.raises(InputError, match=r"duplicate factor names: \['a', 'a'\]"):
+            index[("x", "y")]
+
+    @pytest.mark.parametrize(
+        "values,pattern",
+        [(("x", ""), "non-empty"), (("x",), "expected 2 factor values"), (("x", 1.5), "string or integer")],
+    )
+    def test_later_keys_keep_the_value_checks(self, values, pattern):
+        index = KeyIndex(("a", "b"))
+        index[("x", "y")]
+        with pytest.raises(InputError, match=pattern):
+            index[values]
+        assert len(index) == 1
+
+    def test_schema_is_checked_once_per_read(self, monkeypatch, tmp_path):
+        calls = []
+        check = blindspot.counts._check_schema
+
+        def counting(schema):
+            calls.append(schema)
+            return check(schema)
+
+        monkeypatch.setattr(blindspot.counts, "_check_schema", counting)
+        per_read = []
+        for rows in (50, 400):
+            path = tmp_path / f"c{rows}.csv"
+            path.write_text("a,b,count\n" + "".join(f"{i},{i % 7},1\n" for i in range(rows)))
+            calls.clear()
+            assert read_counts_file(path).k_observed == rows
+            per_read.append(len(calls))
+        assert per_read[0] == per_read[1] <= 2
 
 
 class TestCountTable:
