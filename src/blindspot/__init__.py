@@ -7,199 +7,23 @@ ceiling it implies, and checks the estimators against simulated ground
 truth.
 """
 
-from .abstraction import (
-    FACTOR_ACTIVITY,
-    FACTOR_ENERGY,
-    FACTOR_ORDER,
-    FACTOR_RATE,
-    FACTOR_TILT,
-    PRESETS,
-    AbstractionConfig,
-    AdmissionRecord,
-    LabeledStream,
-    SensorWindow,
-    abstract_stream,
-    abstract_window,
-    energy_bin,
-    fit_edges,
-    fit_energy_edges,
-    gyro_energy,
-    icd_prefix_state,
-    make_windows,
-    mean_angular_rate,
-    preset,
-    tilt_bin,
-)
-from .counts import (
-    KNOWN_TRUTH,
-    PLUG_IN,
-    CountTable,
-    EmpiricalDistribution,
-    FreqOfFreqs,
-    StateKey,
-    build_count_table,
-    coarsen,
-    freq_of_freqs,
-    plug_in_distribution,
-)
-from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis
-from .estimators import (
-    ESTIMATOR_MODES,
-    MODE_GENERALIZED_GT,
-    MODE_PLUGIN,
-    MODE_PLUGIN_UNSEEN,
-    BlindnessDecomposition,
-    BlindSpotCurve,
-    CeilingCurve,
-    DecompositionEntry,
-    MixtureDecomposition,
-    RiskWeights,
-    accuracy_ceiling,
-    blind_spot_curve,
-    blind_spot_mass,
-    blindness_decomposition,
-    ceiling_curve,
-    chance_accuracy,
-    curve_from_freqs,
-    good_turing_unseen_mass,
-    mass_estimate,
-    mixture_decomposition,
-    risk_weighted_blindness,
-    wilson_interval,
-)
-from .ingest import (
-    IngestionSummary,
-    ingest_diagnoses,
-    ingest_pamap2,
-    ingest_samples_csv,
-    read_abstraction_config,
-    read_counts_file,
-    read_kv_file,
-    read_risk_weights,
-    read_samples_file,
-    write_abstraction_config,
-    write_samples_file,
-)
-from .report import (
-    TOOL_VERSION,
-    ReportBundle,
-    build_report,
-    bundle_to_json,
-    format_float,
-    render_json,
-    support_histogram,
-)
-from .simulator import (
-    SweepCell,
-    SweepResult,
-    SyntheticDistribution,
-    custom_distribution,
-    family_distribution,
-    geometric_distribution,
-    known_truth,
-    read_sweep_spec,
-    run_sweep,
-    sample,
-    true_blind_mass,
-    uniform_distribution,
-    zipf_distribution,
-)
+from .abstraction import *
+from .counts import *
+from .errors import *
+from .estimators import *
+from .ingest import *
+from .report import *
+from .simulator import *
 
-__version__ = TOOL_VERSION
+__version__ = report.TOOL_VERSION
 
 __all__ = [
     "__version__",
-    # errors
-    "InputError",
-    "InvariantViolation",
-    "MissingPrimaryDiagnosis",
-    # counts
-    "StateKey",
-    "CountTable",
-    "FreqOfFreqs",
-    "EmpiricalDistribution",
-    "build_count_table",
-    "freq_of_freqs",
-    "plug_in_distribution",
-    "coarsen",
-    "PLUG_IN",
-    "KNOWN_TRUTH",
-    # estimators
-    "ESTIMATOR_MODES",
-    "MODE_PLUGIN",
-    "MODE_PLUGIN_UNSEEN",
-    "MODE_GENERALIZED_GT",
-    "BlindSpotCurve",
-    "blind_spot_mass",
-    "blind_spot_curve",
-    "curve_from_freqs",
-    "mass_estimate",
-    "good_turing_unseen_mass",
-    "RiskWeights",
-    "DecompositionEntry",
-    "BlindnessDecomposition",
-    "risk_weighted_blindness",
-    "blindness_decomposition",
-    "accuracy_ceiling",
-    "CeilingCurve",
-    "ceiling_curve",
-    "chance_accuracy",
-    "MixtureDecomposition",
-    "mixture_decomposition",
-    "wilson_interval",
-    # abstraction
-    "FACTOR_ACTIVITY",
-    "FACTOR_TILT",
-    "FACTOR_ENERGY",
-    "FACTOR_RATE",
-    "FACTOR_ORDER",
-    "SensorWindow",
-    "LabeledStream",
-    "make_windows",
-    "tilt_bin",
-    "gyro_energy",
-    "mean_angular_rate",
-    "fit_energy_edges",
-    "energy_bin",
-    "AbstractionConfig",
-    "PRESETS",
-    "preset",
-    "fit_edges",
-    "abstract_window",
-    "abstract_stream",
-    "AdmissionRecord",
-    "icd_prefix_state",
-    # ingest
-    "IngestionSummary",
-    "read_samples_file",
-    "write_samples_file",
-    "read_counts_file",
-    "read_risk_weights",
-    "read_kv_file",
-    "read_abstraction_config",
-    "write_abstraction_config",
-    "ingest_samples_csv",
-    "ingest_diagnoses",
-    "ingest_pamap2",
-    # report
-    "ReportBundle",
-    "support_histogram",
-    "build_report",
-    "format_float",
-    "render_json",
-    "bundle_to_json",
-    # simulator
-    "SyntheticDistribution",
-    "zipf_distribution",
-    "geometric_distribution",
-    "uniform_distribution",
-    "custom_distribution",
-    "family_distribution",
-    "known_truth",
-    "sample",
-    "true_blind_mass",
-    "SweepCell",
-    "SweepResult",
-    "read_sweep_spec",
-    "run_sweep",
+    *errors.__all__,
+    *counts.__all__,
+    *estimators.__all__,
+    *abstraction.__all__,
+    *ingest.__all__,
+    *report.__all__,
+    *simulator.__all__,
 ]

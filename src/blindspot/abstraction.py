@@ -25,6 +25,7 @@ __all__ = [
     "FACTOR_ENERGY",
     "FACTOR_RATE",
     "FACTOR_ORDER",
+    "FACTOR_ICD",
     "SensorWindow",
     "LabeledStream",
     "AbstractionConfig",
@@ -48,6 +49,8 @@ FACTOR_TILT = "tilt"
 FACTOR_ENERGY = "energy"
 FACTOR_RATE = "rate"
 FACTOR_ORDER = (FACTOR_ACTIVITY, FACTOR_TILT, FACTOR_ENERGY, FACTOR_RATE)
+# the one factor of a diagnoses state: the primary ICD code's prefix
+FACTOR_ICD = "icd4"
 
 # absorbs float noise when an angle lands exactly on a bin boundary, so the
 # bin index matches exact-arithmetic evaluation (e.g. 45 degrees at P=6 -> 3)
@@ -525,7 +528,7 @@ def icd_prefix_state(admission: AdmissionRecord, prefix_len: int = 4) -> StateKe
     """State from the first sequence-1 diagnosis code, truncated to
     ``prefix_len`` characters (whole code when shorter).  Raises
     MissingPrimaryDiagnosis when no usable sequence-1 code exists."""
-    return StateKey(("icd4",), (_icd_prefix(admission, prefix_len),))
+    return StateKey((FACTOR_ICD,), (_icd_prefix(admission, prefix_len),))
 
 
 def _icd_prefix(admission: AdmissionRecord, prefix_len: int = 4) -> str:

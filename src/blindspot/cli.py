@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
 from .abstraction import (
+    FACTOR_ICD,
     FACTOR_ORDER,
     abstract_stream,
     # no longer called here; the benchmark's --trace 1 looks them up on this
@@ -128,11 +130,30 @@ def _out_stream(path):
             yield fh
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _check_outputs(args) -> None:
-    # "-" is stdout for every output flag; only one output may go there
+    # "-" is stdout for every output flag; only one output may go there, and
+    # two outputs never name one file
     for dest in ("json", "save_config"):
-        if getattr(args, dest, None) == "-" and args.out in (None, "-"):
-            raise UsageError(f"--out and --{dest.replace('_', '-')} would both write to stdout")
+        path = getattr(args, dest, None)
+        if path == "-" and args.out in (None, "-"):
+            raise UsageError(f"--out and {_flag(dest)} would both write to stdout")
+        if (path not in (None, "-") and args.out not in (None, "-")
+                and os.path.realpath(path) == os.path.realpath(args.out)):
+            raise UsageError(f"--out and {_flag(dest)} name the same file")
+
+
+def _check_needs(args) -> None:
+    # a subcommand's ``needs`` lists (dests, what they need, whether that was
+    # given) for flags that act only alongside another flag; each defaults to
+    # None, so any other value was given on the command line
+    for dests, needed, given in getattr(args, "needs", ()):
+        for dest in dests:
+            if getattr(args, dest) is not None and not given(args):
+                raise UsageError(f"{_flag(dest)} needs {needed}")
 
 
 def _dedupe_modes(modes) -> tuple[str, ...]:
@@ -192,8 +213,6 @@ def _resolve_config(args):
 
 
 def _cmd_ingest(args) -> int:
-    if args.save_config is not None and args.pamap2 is None:
-        raise UsageError("--save-config needs --pamap2")
     if args.samples_csv is not None:
         if not args.key_columns:
             raise UsageError("--samples-csv needs --key-columns")
@@ -201,7 +220,7 @@ def _cmd_ingest(args) -> int:
         schema = tuple(args.key_columns)
     elif args.diagnoses is not None:
         samples, summary = ingest_diagnoses(args.diagnoses)
-        schema = ("icd4",)
+        schema = (FACTOR_ICD,)
     else:
         if not args.subjects:
             raise UsageError("--pamap2 needs --subjects")
@@ -363,7 +382,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", metavar="PATH", help="samples file destination (default stdout)")
     p.add_argument("--save-config", metavar="PATH",
                    help="write the fitted abstraction config here (- for stdout)")
-    p.set_defaults(handler=_cmd_ingest)
+    p.set_defaults(handler=_cmd_ingest, needs=(
+        (("subjects", "preset", "config", "factors", "tilt_bins", "energy_bins", "rate_bins",
+          "save_config"), "--pamap2", lambda a: a.pamap2 is not None),
+        (("key_columns",), "--samples-csv", lambda a: a.samples_csv is not None),
+    ))
 
     p = sub.add_parser("curve", help="blind-spot mass as a function of the support threshold")
     _add_table_source(p)
@@ -396,7 +419,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=ESTIMATOR_MODES, default=MODE_PLUGIN,
                    help="estimator mode for the underlying curve (default plugin)")
     p.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    p.set_defaults(handler=_cmd_ceiling)
+    p.set_defaults(handler=_cmd_ceiling, needs=(
+        (("classes",), "--blind-accuracy chance", lambda a: a.blind_accuracy == "chance"),
+    ))
 
     p = sub.add_parser("histogram", help="per-state observation counts, most frequent first")
     _add_table_source(p)
@@ -431,7 +456,9 @@ def _build_parser() -> _Parser:
                    help="assumed accuracy on blind states (default 0)")
     p.add_argument("--dataset-id", default="", help="free-form dataset label for report metadata")
     p.add_argument("--out", metavar="PATH", help="JSON destination (default stdout)")
-    p.set_defaults(handler=_cmd_report)
+    p.set_defaults(handler=_cmd_report, needs=(
+        (("top_k",), "--decompose-tau", lambda a: a.decompose_tau is not None),
+    ))
 
     return parser
 
@@ -448,6 +475,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 1
     try:
         _check_outputs(args)
+        _check_needs(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"blindspot: error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InputError", "InvariantViolation", "MissingPrimaryDiagnosis"]
+
 
 class InputError(ValueError):
     """Invalid caller-supplied data or parameters: bad files, malformed rows,

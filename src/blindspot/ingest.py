@@ -29,13 +29,14 @@ import re
 import warnings
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .abstraction import (
+    FACTOR_ICD,
     AbstractionConfig,
     AdmissionRecord,
     LabeledStream,
@@ -348,15 +349,7 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-_CONFIG_KEYS = (
-    "factors",
-    "tilt_bins",
-    "energy_bins",
-    "rate_bins",
-    "energy_edges",
-    "rate_edges",
-    "refinement_tag",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(AbstractionConfig))
 
 
 def read_abstraction_config(path) -> AbstractionConfig:
@@ -386,19 +379,16 @@ def write_abstraction_config(path, config: AbstractionConfig) -> None:
         _write_config(fh, config)
 
 
+def _config_text(value) -> str:
+    if isinstance(value, list):
+        return ", ".join(map(_config_text, value))
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
 def _write_config(fh, config: AbstractionConfig) -> None:
-    lines = [
-        f"factors = {', '.join(config.factors)}",
-        f"tilt_bins = {config.tilt_bins}",
-        f"energy_bins = {config.energy_bins}",
-        f"rate_bins = {config.rate_bins}",
-        f"refinement_tag = {config.refinement_tag}",
-    ]
-    if config.energy_edges is not None:
-        lines.append("energy_edges = " + ", ".join(format(e, ".17g") for e in config.energy_edges))
-    if config.rate_edges is not None:
-        lines.append("rate_edges = " + ", ".join(format(e, ".17g") for e in config.rate_edges))
-    fh.write("\n".join(lines) + "\n")
+    for name, value in config.to_mapping().items():
+        if value is not None:
+            fh.write(f"{name} = {_config_text(value)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +475,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
                 admissions.setdefault(adm, []).append((seq, code))
     summary.note("diagnosis-rows", row_count)
     samples: list[StateKey] = []
-    keys = KeyIndex(("icd4",))
+    keys = KeyIndex((FACTOR_ICD,))
     for adm, diags in admissions.items():
         summary.rows_read += 1
         extra_primaries = sum(1 for seq, _ in diags if seq == 1) - 1

@@ -432,6 +432,67 @@ class TestDashMeansStdout:
         assert os.listdir(tmp_path) == []
 
 
+class TestOneFilePerOutput:
+    """Two output flags never name one file, however the path is spelled."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["curve", "--counts", COUNTS, "--tau-max", "2", "--out", "same.txt", "--json", "same.txt"],
+         "--json"),
+        (["curve", "--counts", COUNTS, "--tau-max", "2", "--out", "./same.txt", "--json", "same.txt"],
+         "--json"),
+        (["decompose", "--counts", COUNTS, "--tau", "150", "--out", "same.txt", "--json", "./same.txt"],
+         "--json"),
+        (["simulate", "--spec", SWEEP, "--out", "same.txt", "--json", "sub/../same.txt"], "--json"),
+        (["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--out", "same.txt",
+          "--save-config", "./same.txt"], "--save-config"),
+        (["ingest", "--diagnoses", str(GOLDEN_INPUTS / "diagnoses.csv"), "--out", "same.txt",
+          "--save-config", "same.txt"], "--save-config"),
+    ])
+    def test_same_file_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: --out and {flag} name the same file\n"
+        assert os.listdir(tmp_path) == ["sub"]
+
+
+class TestFlagNeeds:
+    """A flag that defaults to None and acts only alongside another flag is
+    a usage error without it, raised before any input is read."""
+
+    SAMPLES_CSV = ["ingest", "--samples-csv", ABSENT, "--key-columns", "activity"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (SAMPLES_CSV + ["--subjects", "101", "--preset", "activity"], "--subjects needs --pamap2"),
+        (SAMPLES_CSV + ["--preset", "activity"], "--preset needs --pamap2"),
+        (SAMPLES_CSV + ["--config", ABSENT], "--config needs --pamap2"),
+        (SAMPLES_CSV + ["--factors", "activity"], "--factors needs --pamap2"),
+        (SAMPLES_CSV + ["--tilt-bins", "3"], "--tilt-bins needs --pamap2"),
+        (SAMPLES_CSV + ["--energy-bins", "3"], "--energy-bins needs --pamap2"),
+        (SAMPLES_CSV + ["--rate-bins", "3"], "--rate-bins needs --pamap2"),
+        (SAMPLES_CSV + ["--save-config", "cfg.txt"], "--save-config needs --pamap2"),
+        (["ingest", "--diagnoses", ABSENT, "--key-columns", "activity"],
+         "--key-columns needs --samples-csv"),
+        (["ingest", "--pamap2", ABSENT, "--subjects", "101", "--key-columns", "activity"],
+         "--key-columns needs --samples-csv"),
+        (["ceiling", "--counts", ABSENT, "--tau-max", "2", "--blind-accuracy", "0.5", "--classes", "3"],
+         "--classes needs --blind-accuracy chance"),
+        (["ceiling", "--counts", ABSENT, "--tau-max", "2", "--classes", "3"],
+         "--classes needs --blind-accuracy chance"),
+        (["report", "--counts", ABSENT, "--tau-max", "2", "--top-k", "3"],
+         "--top-k needs --decompose-tau"),
+    ])
+    def test_flag_without_its_partner_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "out.txt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+
 class TestDecompose:
     def test_weighted_contributions_match_published_values(self, capsys):
         code = main(["decompose", "--counts", COUNTS, "--tau", "150", "--weights", WEIGHTS])

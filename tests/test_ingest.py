@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import blindspot.ingest
 from blindspot import (
+    FACTOR_ORDER,
     AbstractionConfig,
     InputError,
     SweepCell,
@@ -227,6 +228,17 @@ class TestKvFile:
             read_kv_file(path)
 
 
+# a bin count and either no edges or bins + 1 sorted finite edges, tiny and
+# huge magnitudes included
+_EDGE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308]
+)
+_BINS_AND_EDGES = st.integers(1, 12).flatmap(lambda b: st.tuples(
+    st.just(b),
+    st.none() | st.lists(_EDGE, min_size=b + 1, max_size=b + 1).map(lambda v: tuple(sorted(v))),
+))
+
+
 class TestAbstractionConfigFile:
     def test_round_trip_with_edges(self, tmp_path):
         cfg = AbstractionConfig(
@@ -239,6 +251,43 @@ class TestAbstractionConfigFile:
         path = tmp_path / "cfg.txt"
         write_abstraction_config(path, cfg)
         assert read_abstraction_config(path) == cfg  # .17g keeps floats exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        factors=st.lists(st.sampled_from(FACTOR_ORDER), min_size=1, unique=True),
+        tilt_bins=st.integers(1, 12),
+        energy=_BINS_AND_EDGES,
+        rate=_BINS_AND_EDGES,
+        tag=st.from_regex(r"[a-z](,[a-z])*", fullmatch=True),
+    )
+    def test_round_trip_property(self, tmp_path_factory, factors, tilt_bins, energy, rate, tag):
+        cfg = AbstractionConfig(
+            factors=tuple(factors),
+            tilt_bins=tilt_bins,
+            energy_bins=energy[0],
+            rate_bins=rate[0],
+            energy_edges=energy[1],
+            rate_edges=rate[1],
+            refinement_tag=tag,
+        )
+        path = tmp_path_factory.getbasetemp() / "round-trip-cfg.txt"
+        write_abstraction_config(path, cfg)
+        assert read_abstraction_config(path) == cfg
+
+    def test_exact_text_with_rate_edges_only(self, tmp_path):
+        cfg = AbstractionConfig(
+            factors=("rate", "activity"), rate_bins=2, rate_edges=(0.1, 0.5, 2.0), refinement_tag="a,r"
+        )
+        path = tmp_path / "cfg.txt"
+        write_abstraction_config(path, cfg)
+        assert path.read_bytes() == (
+            b"factors = activity, rate\n"
+            b"tilt_bins = 6\n"
+            b"energy_bins = 3\n"
+            b"rate_bins = 2\n"
+            b"refinement_tag = a,r\n"
+            b"rate_edges = 0.10000000000000001, 0.5, 2\n"
+        )
 
     def test_defaults_fill_missing_keys(self, tmp_path):
         path = tmp_path / "cfg.txt"
