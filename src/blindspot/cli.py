@@ -28,7 +28,7 @@ from .abstraction import (
     preset,
     PRESETS,
 )
-from .counts import CountTable, build_count_table, plug_in_distribution
+from .counts import CountTable, build_count_table
 from .errors import InputError, InvariantViolation
 from .estimators import (
     ESTIMATOR_MODES,
@@ -37,7 +37,6 @@ from .estimators import (
     blindness_decomposition,
     ceiling_curve,
     chance_accuracy,
-    risk_weighted_blindness,
     wilson_interval,
 )
 from .ingest import (
@@ -187,8 +186,6 @@ _TAG_LETTER = {"activity": "a", "tilt": "p", "energy": "e", "rate": "r"}
 
 
 def _resolve_config(args):
-    if args.config is not None and args.preset is not None:
-        raise UsageError("--preset and --config cannot be combined")
     if args.config is not None:
         base = read_abstraction_config(args.config)
     elif args.preset is not None:
@@ -224,6 +221,8 @@ def _cmd_ingest(args) -> int:
     else:
         if not args.subjects:
             raise UsageError("--pamap2 needs --subjects")
+        if args.config is not None and args.preset is not None:
+            raise UsageError("--preset and --config cannot be combined")
         stream, summary = ingest_pamap2(args.pamap2, args.subjects, args.placement)
         config, samples = abstract_stream(
             stream, _resolve_config(args), args.window_s, args.stride_s, args.fit_fraction
@@ -264,18 +263,14 @@ def _cmd_curve(args) -> int:
 
 def _cmd_decompose(args) -> int:
     table = _load_table(args)
+    weights = None
     if args.weights is not None:
         weights = read_risk_weights(args.weights, table.schema)
         unmatched = sum(1 for key in weights.weights if key not in table.counts)
         if unmatched:
             print(f"blindspot: warning: {unmatched} weight key(s) match no observed state",
                   file=sys.stderr)
-        _, decomp = risk_weighted_blindness(
-            table, plug_in_distribution(table), weights, args.tau
-        )
-    else:
-        decomp = blindness_decomposition(table, args.tau)
-    decomp = replace(decomp, entries=decomp.entries[: args.top_k])
+    decomp = blindness_decomposition(table, args.tau, args.top_k, weights)
     with _out_stream(args.out) as fh:
         write_csv(fh, decomposition_table(decomp))
     if args.json is not None:
@@ -285,12 +280,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ceiling(args) -> int:
-    table = _load_table(args)
     a = args.blind_accuracy
     if a == "chance":
         if args.classes is None:
             raise UsageError("--blind-accuracy chance needs --classes")
         a = chance_accuracy(args.classes)
+    table = _load_table(args)
     curve = blind_spot_curve(table, args.tau_max, mode=args.mode)
     ceil = ceiling_curve(curve, a)
     with _out_stream(args.out) as fh:

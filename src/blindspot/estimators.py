@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .counts import (
     KNOWN_TRUTH,
@@ -61,7 +61,6 @@ __all__ = [
     "curve_from_freqs",
     "mass_estimate",
     "good_turing_unseen_mass",
-    "risk_weighted_blindness",
     "blindness_decomposition",
     "accuracy_ceiling",
     "ceiling_curve",
@@ -84,11 +83,15 @@ EXTENSION_MODE_NOTES = {
 }
 
 
-def _check_tau(tau) -> int:
+def _check_int(x, what: str) -> int:
     try:
-        tau = operator.index(tau)
+        return operator.index(x)
     except TypeError:
-        raise InputError(f"tau must be an integer, got {type(tau).__name__}") from None
+        raise InputError(f"{what} must be an integer, got {type(x).__name__}") from None
+
+
+def _check_tau(tau) -> int:
+    tau = _check_int(tau, "tau")
     if tau < 1:
         raise InputError(
             f"tau must be >= 1 (a support threshold requires at least one observation), got {tau}"
@@ -110,16 +113,6 @@ def _check_unit(x, what: str) -> float:
     if not (0.0 <= x <= 1.0):
         raise InputError(f"{what} must lie in [0, 1], got {x}")
     return x
-
-
-def _check_support_superset(table: CountTable, dist: EmpiricalDistribution):
-    # a known-truth distribution must assign probability to every observed state
-    if dist.source == KNOWN_TRUTH:
-        for key in table.counts:
-            if key not in dist.probs:
-                raise InputError(
-                    f"known-truth distribution lacks observed state {key.serialize()!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,12 @@ def blind_spot_mass(table: CountTable, dist: EmpiricalDistribution, tau) -> floa
     support must cover every observed state).
     """
     tau = _check_tau(tau)
-    _check_support_superset(table, dist)
+    if dist.source == KNOWN_TRUTH:
+        for key in table.counts:
+            if key not in dist.probs:
+                raise InputError(
+                    f"known-truth distribution lacks observed state {key.serialize()!r}"
+                )
     return math.fsum(p for key, p in dist.probs.items() if table.count(key) < tau)
 
 
@@ -268,51 +266,24 @@ class BlindnessDecomposition:
             raise InputError(f"decomposition total must be finite and >= 0, got {self.total}")
 
 
-def _sort_entries(entries: Iterable[DecompositionEntry]) -> tuple[DecompositionEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: (-e.contribution, e.state.values)))
-
-
-def risk_weighted_blindness(
+def blindness_decomposition(
     table: CountTable,
-    dist: EmpiricalDistribution,
-    weights: RiskWeights,
     tau,
-) -> tuple[float, BlindnessDecomposition]:
-    """Weighted blind mass sum_x dist(x) * w(x) * 1{count(x) < tau}.
+    top_k: Optional[int] = None,
+    weights: Optional[RiskWeights] = None,
+) -> BlindnessDecomposition:
+    """Which observed states carry the blind mass at threshold tau.
 
-    Returns the total over the whole distribution support plus a decomposition
-    listing each *observed* blind state's contribution dist(x) * w(x).  With a
-    plug-in distribution the two totals coincide; with a known-truth
-    distribution the returned total additionally includes unseen states.
+    Each observed state with count < tau contributes count/n times its risk
+    weight: ``weights.weight(state)``, or 1.0 when ``weights`` is None.
+    Entries are sorted by contribution (descending, ties by state values) and
+    cut to the ``top_k`` largest.  ``total`` covers every blind state whatever
+    ``top_k`` is.  Unweighted, it is the plugin curve's value at tau exactly;
+    weighted, it is the ``math.fsum`` of the contributions.
     """
     tau = _check_tau(tau)
-    _check_support_superset(table, dist)
-    terms = []
-    entries = []
-    for key, p in dist.probs.items():
-        c = table.count(key)
-        if c >= tau:
-            continue
-        w = weights.weight(key)
-        terms.append(p * w)
-        if c >= 1:
-            entries.append(DecompositionEntry(state=key, count=c, prob=p, weight=w, contribution=p * w))
-    total = math.fsum(terms)
-    entries = _sort_entries(entries)
-    decomposition = BlindnessDecomposition(
-        entries=entries, tau=tau, total=math.fsum(e.contribution for e in entries)
-    )
-    return total, decomposition
-
-
-def blindness_decomposition(
-    table: CountTable, tau, top_k: Optional[int] = None
-) -> BlindnessDecomposition:
-    """Unweighted plug-in decomposition: which observed states carry the blind
-    mass at threshold tau, each contributing count/n."""
-    tau = _check_tau(tau)
     if top_k is not None:
-        top_k = operator.index(top_k)
+        top_k = _check_int(top_k, "top_k")
         if top_k < 1:
             raise InputError(f"top_k must be >= 1, got {top_k}")
     n = table.n
@@ -321,14 +292,20 @@ def blindness_decomposition(
     for key, c in table.counts.items():
         if c < tau:
             p = c / n
-            entries.append(DecompositionEntry(state=key, count=c, prob=p, weight=1.0, contribution=p))
+            if weights is None:
+                w, contribution = 1.0, p  # one float object, not two, per entry
+            else:
+                w = weights.weight(key)
+                contribution = p * w
+            entries.append(DecompositionEntry(state=key, count=c, prob=p, weight=w, contribution=contribution))
             blind_observations += c
-    # same integer numerator and division as the plugin curve: totals match exactly
-    total = blind_observations / n
-    entries = _sort_entries(entries)
-    if top_k is not None:
-        entries = entries[:top_k]
-    return BlindnessDecomposition(entries=entries, tau=tau, total=total)
+    if weights is None:
+        # same integer numerator and division as the plugin curve: totals match exactly
+        total = blind_observations / n
+    else:
+        total = math.fsum(e.contribution for e in entries)
+    entries.sort(key=lambda e: (-e.contribution, e.state.values))
+    return BlindnessDecomposition(entries=tuple(entries[:top_k]), tau=tau, total=total)
 
 
 def accuracy_ceiling(blind_mass, assumed_blind_accuracy=0.0) -> float:

@@ -136,6 +136,18 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ceiling", "--counts", ABSENT, "--tau-max", "2", "--blind-accuracy", "chance"],
+         "--blind-accuracy chance needs --classes"),
+        (["ingest", "--pamap2", ABSENT, "--subjects", "101", "--preset", "activity", "--config", "x"],
+         "--preset and --config cannot be combined"),
+    ])
+    def test_usage_error_wins_over_unreadable_input(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {message}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

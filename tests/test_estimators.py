@@ -28,7 +28,6 @@ from blindspot import (
     mass_estimate,
     mixture_decomposition,
     plug_in_distribution,
-    risk_weighted_blindness,
     wilson_interval,
 )
 from blindspot.counts import KNOWN_TRUTH, EmpiricalDistribution
@@ -39,6 +38,7 @@ from blindspot.estimators import (
     MODE_PLUGIN,
     MODE_PLUGIN_UNSEEN,
     BlindSpotCurve,
+    DecompositionEntry,
 )
 from conftest import ACTIVITY_COUNTS, key, random_single_table, table_of
 
@@ -223,6 +223,46 @@ class TestCoarseningBound:
             assert coarse <= fine + 1e-12
 
 
+def reference_decomposition(table, tau, weights):
+    """Every blind entry and the total, from per-state terms p * w over
+    ``plug_in_distribution(table)``: entries sorted by (-contribution, values),
+    the weighted total an fsum of the terms, the unweighted one the integer
+    count of blind observations over n."""
+    probs = plug_in_distribution(table).probs
+    entries = []
+    for state, p in probs.items():
+        c = table.count(state)
+        if c < tau:
+            w = 1.0 if weights is None else weights.weight(state)
+            entries.append(DecompositionEntry(state=state, count=c, prob=p, weight=w, contribution=p * w))
+    entries.sort(key=lambda e: (-e.contribution, e.state.values))
+    if weights is None:
+        total = sum(e.count for e in entries) / table.n
+    else:
+        total = math.fsum(e.contribution for e in entries)
+    return tuple(entries), total
+
+
+@st.composite
+def decomposition_cases(draw):
+    """(table, tau, top_k, weights): weights absent, or partial with a random
+    or zero default and keys that may match no observed state; top_k None or
+    1..k+1 for k blind states."""
+    counts = draw(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=30))
+    table = table_of({f"v{i}": c for i, c in enumerate(counts)}, factor="s")
+    tau = draw(st.integers(min_value=1, max_value=35))
+    weight = st.floats(min_value=0.0, max_value=10.0)
+    default = draw(st.one_of(st.none(), st.just(0.0), weight))
+    weights = None
+    if default is not None:
+        names = [f"v{i}" for i in range(len(counts))] + ["unseen0", "unseen1"]
+        listed = draw(st.dictionaries(st.sampled_from(names), weight))
+        weights = RiskWeights({key(s=v): w for v, w in listed.items()}, default_weight=default)
+    k = sum(c < tau for c in counts)
+    top_k = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=k + 1)))
+    return table, tau, top_k, weights
+
+
 class TestDecomposition:
     def test_weighted_replay(self):
         table = table_of(ACTIVITY_COUNTS)
@@ -236,7 +276,7 @@ class TestDecomposition:
             },
             default_weight=0.0,
         )
-        total, decomp = risk_weighted_blindness(table, plug_in_distribution(table), weights, 150)
+        decomp = blindness_decomposition(table, 150, weights=weights)
         by_activity = {e.state.value_of("activity"): e for e in decomp.entries}
         assert "Walking" not in by_activity  # count 307 >= 150: supported
         assert round(by_activity["Stairs up"].contribution, 3) == 0.048
@@ -244,7 +284,7 @@ class TestDecomposition:
         assert round(by_activity["Front fall"].contribution, 3) == 0.073
         assert round(by_activity["Backward fall"].contribution, 3) == 0.073
         assert by_activity["Sitting"].contribution == 0.0
-        assert total == pytest.approx(
+        assert decomp.total == pytest.approx(
             math.fsum(e.contribution for e in decomp.entries), abs=1e-15
         )
 
@@ -288,16 +328,25 @@ class TestDecomposition:
         with pytest.raises(InputError):
             RiskWeights(weights={key(s="a"): 1.0}, default_weight=-1.0)
 
-    def test_known_truth_total_includes_unseen(self):
-        table = table_of({"a": 3, "b": 1})
-        truth = EmpiricalDistribution(
-            probs={key(activity="a"): 0.5, key(activity="b"): 0.25, key(activity="c"): 0.25},
-            source=KNOWN_TRUTH,
-        )
-        total, decomp = risk_weighted_blindness(table, truth, RiskWeights(weights={}), 2)
-        assert total == pytest.approx(0.5)  # b (seen once) + c (unseen)
-        assert [e.state for e in decomp.entries] == [key(activity="b")]
-        assert decomp.total == pytest.approx(0.25)
+    @pytest.mark.parametrize("top_k,name", [(2.5, "float"), ("3", "str")])
+    def test_top_k_must_be_an_integer(self, top_k, name):
+        table = table_of({"a": 1, "b": 2, "c": 3})
+        with pytest.raises(InputError, match=f"^top_k must be an integer, got {name}$"):
+            blindness_decomposition(table, 5, top_k=top_k)
+        with pytest.raises(InputError, match="^top_k must be >= 1, got 0$"):
+            blindness_decomposition(table, 5, top_k=0)
+
+    @given(decomposition_cases())
+    def test_matches_the_weighted_plug_in_reference(self, case):
+        table, tau, top_k, weights = case
+        decomp = blindness_decomposition(table, tau, top_k, weights)
+        entries, total = reference_decomposition(table, tau, weights)
+        assert decomp.entries == entries[:top_k]
+        assert decomp.total == total
+        full = blindness_decomposition(table, tau, weights=weights)
+        assert full.entries == entries
+        assert full.total == decomp.total
+        assert decomp.entries == full.entries[:top_k]
 
 
 class TestCeiling:
