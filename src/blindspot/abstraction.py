@@ -9,7 +9,6 @@ A separate helper assigns admission records to diagnosis-prefix states.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .counts import KeyIndex, StateKey
-from .errors import InputError, MissingPrimaryDiagnosis
+from .errors import InputError, MissingPrimaryDiagnosis, _check_int
 
 __all__ = [
     "FACTOR_ACTIVITY",
@@ -128,7 +127,7 @@ class LabeledStream:
             if ts.shape != (acc.shape[0],):
                 raise InputError("timestamps length does not match samples")
             object.__setattr__(self, "timestamps", ts)
-        starts = tuple(operator.index(i) for i in self.segment_starts)
+        starts = tuple(_check_int(i, "segment start") for i in self.segment_starts)
         if any(not 0 <= i < acc.shape[0] for i in starts):
             raise InputError(f"segment starts {list(starts)} must index the {acc.shape[0]} samples")
         object.__setattr__(self, "segment_starts", starts)
@@ -215,9 +214,7 @@ def tilt_bin(window: SensorWindow, bins: int) -> int:
     result is invariant to overall scale and to the sign of the vertical axis.
     A zero mean vector leaves the direction undefined and is rejected.
     """
-    bins = operator.index(bins)
-    if bins < 1:
-        raise InputError(f"tilt bins must be >= 1, got {bins}")
+    bins = _check_int(bins, "tilt bins", 1)
     return _tilt_of_mean(window.acc.mean(axis=0), bins, window.label)
 
 
@@ -251,9 +248,7 @@ def fit_energy_edges(values: Iterable[float], bins: int) -> tuple[float, ...]:
     computed as (m-1)*j/bins so exact-rational levels stay exact.  Edges are
     nondecreasing; duplicated edges simply produce empty bins.
     """
-    bins = operator.index(bins)
-    if bins < 1:
-        raise InputError(f"bins must be >= 1, got {bins}")
+    bins = _check_int(bins, "bins", 1)
     xs = np.sort(np.asarray(list(values), dtype=float))
     if xs.size == 0:
         raise InputError("cannot fit quantile edges on an empty sample")
@@ -334,10 +329,7 @@ class AbstractionConfig:
             self, "factors", tuple(f for f in FACTOR_ORDER if f in factors)
         )
         for name in ("tilt_bins", "energy_bins", "rate_bins"):
-            b = operator.index(getattr(self, name))
-            if b < 1:
-                raise InputError(f"{name} must be >= 1, got {b}")
-            object.__setattr__(self, name, b)
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
         for name, bins in (("energy_edges", self.energy_bins), ("rate_edges", self.rate_bins)):
             edges = getattr(self, name)
             if edges is None:
@@ -532,9 +524,7 @@ def icd_prefix_state(admission: AdmissionRecord, prefix_len: int = 4) -> StateKe
 
 
 def _icd_prefix(admission: AdmissionRecord, prefix_len: int = 4) -> str:
-    prefix_len = operator.index(prefix_len)
-    if prefix_len < 1:
-        raise InputError(f"prefix_len must be >= 1, got {prefix_len}")
+    prefix_len = _check_int(prefix_len, "prefix_len", 1)
     for seq, code in admission.diagnoses:
         if seq == 1:
             code = code.strip()

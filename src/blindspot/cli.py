@@ -28,7 +28,7 @@ from .abstraction import (
     preset,
     PRESETS,
 )
-from .counts import CountTable, build_count_table
+from .counts import CountTable, _check_schema, build_count_table
 from .errors import InputError, InvariantViolation
 from .estimators import (
     ESTIMATOR_MODES,
@@ -213,8 +213,11 @@ def _cmd_ingest(args) -> int:
     if args.samples_csv is not None:
         if not args.key_columns:
             raise UsageError("--samples-csv needs --key-columns")
-        samples, summary = ingest_samples_csv(args.samples_csv, args.key_columns)
-        schema = tuple(args.key_columns)
+        try:
+            schema = _check_schema(args.key_columns)
+        except InputError as exc:  # a bad flag, not bad data
+            raise UsageError(f"--key-columns: {exc}") from None
+        samples, summary = ingest_samples_csv(args.samples_csv, schema)
     elif args.diagnoses is not None:
         samples, summary = ingest_diagnoses(args.diagnoses)
         schema = (FACTOR_ICD,)

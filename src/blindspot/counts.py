@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, _check_int
 
 __all__ = [
     "StateKey",
@@ -198,10 +198,7 @@ class CountTable:
                 raise InputError(f"stored counts must be >= 1, got {c} for {key.serialize()!r}")
             snapshot[key] = c
             total += c
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise InputError("n must be an integer") from None
+        n = _check_int(self.n, "n")
         if n < 1:
             raise InputError("a count table needs at least one observation (n >= 1)")
         if total != n:
@@ -235,13 +232,19 @@ class FreqOfFreqs:
     def __post_init__(self):
         snapshot: dict[int, int] = {}
         below = [0]
-        for r, fr in sorted(self.f.items()):
-            r = operator.index(r)
-            fr = operator.index(fr)
-            if r < 1 or fr < 1:
-                raise InputError(f"frequency-of-frequencies entries must be >= 1, got f[{r}]={fr}")
-            snapshot[r] = fr
-            below.append(below[-1] + r * fr)
+        try:
+            for r, fr in sorted(self.f.items()):
+                r = operator.index(r)
+                fr = operator.index(fr)
+                if r < 1 or fr < 1:
+                    raise InputError(f"frequency-of-frequencies entries must be >= 1, got f[{r}]={fr}")
+                snapshot[r] = fr
+                below.append(below[-1] + r * fr)
+        except TypeError:
+            # name a non-integer entry only after the unchecked loop has failed
+            for x in (*self.f, *self.f.values()):
+                _check_int(x, "frequency-of-frequencies entry")
+            raise
         if below[-1] != self.n:
             raise InputError(f"sum of r*f_r is {below[-1]} but n={self.n}")
         states = sum(snapshot.values())

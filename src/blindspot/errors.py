@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument rule."""
+
+import operator
 
 __all__ = ["InputError", "InvariantViolation", "MissingPrimaryDiagnosis"]
 
@@ -15,3 +17,15 @@ class MissingPrimaryDiagnosis(InputError):
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed.  Indicates a bug in this package,
     not bad input.  The CLI maps this to exit code 3."""
+
+
+def _check_int(value, what: str, least=None) -> int:
+    """``value`` as an int (anything with ``__index__``), at least ``least``
+    when given; otherwise an InputError naming ``what``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {type(value).__name__}") from None
+    if least is not None and value < least:
+        raise InputError(f"{what} must be >= {least}, got {value}")
+    return value

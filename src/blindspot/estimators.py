@@ -29,7 +29,7 @@ n once.
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
@@ -42,7 +42,7 @@ from .counts import (
     StateKey,
     freq_of_freqs,
 )
-from .errors import InputError
+from .errors import InputError, _check_int
 
 __all__ = [
     "MODE_PLUGIN",
@@ -81,13 +81,6 @@ EXTENSION_MODE_NOTES = {
         "fewer than tau times; equals the plugin estimate at tau+1"
     ),
 }
-
-
-def _check_int(x, what: str) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {type(x).__name__}") from None
 
 
 def _check_tau(tau) -> int:
@@ -283,9 +276,7 @@ def blindness_decomposition(
     """
     tau = _check_tau(tau)
     if top_k is not None:
-        top_k = _check_int(top_k, "top_k")
-        if top_k < 1:
-            raise InputError(f"top_k must be >= 1, got {top_k}")
+        top_k = _check_int(top_k, "top_k", 1)
     n = table.n
     entries = []
     blind_observations = 0
@@ -338,10 +329,8 @@ def ceiling_curve(curve: BlindSpotCurve, assumed_blind_accuracy=0.0) -> CeilingC
 
 def chance_accuracy(num_classes) -> float:
     """Blind-accuracy preset for uniform guessing over the label set."""
-    num_classes = operator.index(num_classes)
-    if num_classes < 1:
-        raise InputError(f"number of classes must be >= 1, got {num_classes}")
-    return 1.0 / num_classes
+    # int true division: no OverflowError however many classes
+    return 1 / _check_int(num_classes, "number of classes", 1)
 
 
 @dataclass(frozen=True)
@@ -403,13 +392,13 @@ def wilson_interval(successes, trials, confidence: float = 0.95) -> tuple[float,
     floating-point precision rather than relying on a tabulated constant.
     The interval always contains the point estimate and is clipped to [0, 1].
     """
-    try:
-        s = operator.index(successes)
-        t = operator.index(trials)
-    except TypeError:
-        raise InputError("successes and trials must be integers") from None
-    if t < 1:
-        raise InputError(f"trials must be >= 1, got {t}")
+    s = _check_int(successes, "successes")
+    t = _check_int(trials, "trials", 1)
+    if t > sys.float_info.max:  # z2 / t would raise OverflowError
+        raise InputError(
+            f"trials must be at most {sys.float_info.max!r} (the largest float), "
+            f"got a {t.bit_length()}-bit integer"
+        )
     if not (0 <= s <= t):
         raise InputError(f"successes must lie in [0, trials]; got {s} of {t}")
     confidence = float(confidence)

@@ -43,7 +43,7 @@ from .abstraction import (
     _icd_prefix,
 )
 from .counts import CountTable, KeyIndex, StateKey
-from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis
+from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis, _check_int
 from .estimators import RiskWeights
 
 __all__ = [
@@ -592,7 +592,7 @@ def ingest_pamap2(
     """
     if placement not in _IMU_BASE:
         raise InputError(f"unknown placement {placement!r}; choose from {list(PLACEMENTS)}")
-    subjects = [int(s) for s in subjects]
+    subjects = [_check_int(s, "subject id") for s in subjects]
     if not subjects:
         raise InputError("subjects must name at least one subject id")
     by_subject: dict[int, Path] = {}

@@ -10,15 +10,14 @@ trials could be farmed out in parallel without changing a single draw.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .counts import KNOWN_TRUTH, CountTable, EmpiricalDistribution, FreqOfFreqs, StateKey
-from .errors import InputError, InvariantViolation
-from .estimators import ESTIMATOR_MODES, mass_estimate
+from .errors import InputError, InvariantViolation, _check_int
+from .estimators import ESTIMATOR_MODES, _check_tau, mass_estimate
 from .ingest import _split_list, read_kv_file
 
 __all__ = [
@@ -59,9 +58,7 @@ class SyntheticDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        size = operator.index(self.size)
-        if size < 1:
-            raise InputError(f"distribution size must be >= 1, got {size}")
+        size = _check_int(self.size, "distribution size", 1)
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (size,):
             raise InputError(f"probs must have shape ({size},), got {probs.shape}")
@@ -88,20 +85,17 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
 
 def zipf_distribution(size, exponent) -> SyntheticDistribution:
     """Entry i gets weight 1/(i+1)**exponent (ranks start at 1)."""
-    size = operator.index(size)
-    if size < 1:
-        raise InputError(f"size must be >= 1, got {size}")
+    size = _check_int(size, "size", 1)
     exponent = float(exponent)
     if not exponent >= 0:
         raise InputError(f"zipf exponent must be >= 0, got {exponent}")
-    w = 1.0 / np.arange(1, size + 1, dtype=float) ** exponent
+    with np.errstate(over="ignore"):  # a weight below the float range is 1/inf = 0
+        w = 1.0 / np.arange(1, size + 1, dtype=float) ** exponent
     return SyntheticDistribution("zipf", size, (("s", exponent),), _normalized(w))
 
 
 def geometric_distribution(size, ratio) -> SyntheticDistribution:
-    size = operator.index(size)
-    if size < 1:
-        raise InputError(f"size must be >= 1, got {size}")
+    size = _check_int(size, "size", 1)
     ratio = float(ratio)
     if not 0.0 < ratio < 1.0:
         raise InputError(f"geometric ratio must lie in (0, 1), got {ratio}")
@@ -110,9 +104,7 @@ def geometric_distribution(size, ratio) -> SyntheticDistribution:
 
 
 def uniform_distribution(size) -> SyntheticDistribution:
-    size = operator.index(size)
-    if size < 1:
-        raise InputError(f"size must be >= 1, got {size}")
+    size = _check_int(size, "size", 1)
     w = np.ones(size, dtype=float)
     return SyntheticDistribution("uniform", size, (), _normalized(w))
 
@@ -145,9 +137,7 @@ def family_distribution(family: str, size, params: Mapping[str, float]) -> Synth
 
 
 def state_key(index) -> StateKey:
-    index = operator.index(index)
-    if index < 0:
-        raise InputError(f"state index must be >= 0, got {index}")
+    index = _check_int(index, "state index", 0)
     return StateKey((STATE_FACTOR,), (f"s{index}",))
 
 
@@ -174,9 +164,7 @@ def known_truth(dist: SyntheticDistribution) -> EmpiricalDistribution:
 
 
 def _sample_indices(dist: SyntheticDistribution, n: int, seed) -> np.ndarray:
-    n = operator.index(n)
-    if n < 1:
-        raise InputError(f"sample size must be >= 1, got {n}")
+    n = _check_int(n, "sample size", 1)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     idx = np.searchsorted(dist._cum, u, side="right")
@@ -205,10 +193,7 @@ def _true_mass_from_counts(dist: SyntheticDistribution, counts: np.ndarray, tau:
 def true_blind_mass(dist: SyntheticDistribution, table: CountTable, tau) -> float:
     """Exact blind mass: sum of true probabilities of every state (seen or
     not) whose table count is below tau."""
-    tau = operator.index(tau)
-    if tau < 1:
-        raise InputError(f"tau must be >= 1, got {tau}")
-    return _true_mass_from_counts(dist, _counts_vector(dist, table), tau)
+    return _true_mass_from_counts(dist, _counts_vector(dist, table), _check_tau(tau))
 
 
 def _freqs_from_counts(counts: np.ndarray, n: int) -> FreqOfFreqs:
@@ -232,10 +217,7 @@ class SweepCell:
             raise InputError(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", tuple((str(k), float(v)) for k, v in self.params))
         for name in ("size", "n", "tau"):
-            v = operator.index(getattr(self, name))
-            if v < 1:
-                raise InputError(f"{name} must be >= 1, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
 
 
 def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
@@ -349,12 +331,8 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
     sample standard deviation of the truth and of each mode, plus each mode's
     mean absolute error against the paired truth.
     """
-    trials = operator.index(trials)
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise InputError(f"master seed must be >= 0, got {master_seed}")
+    trials = _check_int(trials, "trials", 1)
+    master_seed = _check_int(master_seed, "master seed", 0)
     cells = list(cells)
     if not cells:
         raise InputError("sweep needs at least one cell")

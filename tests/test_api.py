@@ -1,14 +1,40 @@
-"""The package exports exactly the public names its modules list."""
+"""The package's public surface: it exports exactly the names its modules
+list, and every integer argument follows one rule."""
 
 import importlib
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import blindspot
-from conftest import DATA_DIR
+from blindspot import (
+    AbstractionConfig,
+    AdmissionRecord,
+    FreqOfFreqs,
+    InputError,
+    LabeledStream,
+    SensorWindow,
+    SweepCell,
+    blindness_decomposition,
+    chance_accuracy,
+    fit_energy_edges,
+    geometric_distribution,
+    icd_prefix_state,
+    ingest_pamap2,
+    run_sweep,
+    sample,
+    tilt_bin,
+    true_blind_mass,
+    uniform_distribution,
+    wilson_interval,
+    zipf_distribution,
+)
+from blindspot.counts import CountTable
+from blindspot.simulator import SyntheticDistribution, state_key
+from conftest import DATA_DIR, key, table_of
 
 MODULES = ("abstraction", "counts", "errors", "estimators", "ingest", "report", "simulator")
 SRC_DIR = DATA_DIR.parent.parent / "src"
@@ -39,3 +65,86 @@ def test_import_leaves_the_cli_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# one call per integer argument: (id, call taking the argument, the name its
+# messages give, the first out-of-range value, that value's exact message);
+# None when every integer is in range
+_DIST = uniform_distribution(2)
+_TABLE = table_of({"a": 1, "b": 3})
+_CELLS = [SweepCell(family="uniform", params=(), size=2, n=2, tau=1)]
+_WINDOW = SensorWindow(acc=[[0.0, 0.0, 1.0]], gyro=[[0.0, 0.0, 0.0]], label=1, sample_rate_hz=1.0)
+_RECORD = AdmissionRecord("a1", ((1, "41071"),))
+_TAU_RANGE = "tau must be >= 1 (a support threshold requires at least one observation), got 0"
+
+
+def _stream(starts):
+    zeros = np.zeros((2, 3))
+    return LabeledStream(acc=zeros, gyro=zeros, labels=np.array([1, 1]), sample_rate_hz=1.0,
+                         segment_starts=starts)
+
+
+INTEGER_ARGUMENTS = [
+    ("zipf size", lambda x: zipf_distribution(x, 1.0), "size", 0, "size must be >= 1, got 0"),
+    ("geometric size", lambda x: geometric_distribution(x, 0.5), "size", 0, "size must be >= 1, got 0"),
+    ("uniform size", uniform_distribution, "size", 0, "size must be >= 1, got 0"),
+    ("distribution size", lambda x: SyntheticDistribution("custom", x, (), [1.0]),
+     "distribution size", 0, "distribution size must be >= 1, got 0"),
+    ("state index", state_key, "state index", -1, "state index must be >= 0, got -1"),
+    ("sample size", lambda x: sample(_DIST, x, 0), "sample size", 0, "sample size must be >= 1, got 0"),
+    ("true_blind_mass tau", lambda x: true_blind_mass(_DIST, table_of({"s0": 1}, "state"), x),
+     "tau", 0, _TAU_RANGE),
+    ("cell size", lambda x: SweepCell("uniform", (), x, 1, 1), "size", 0, "size must be >= 1, got 0"),
+    ("cell n", lambda x: SweepCell("uniform", (), 1, x, 1), "n", 0, "n must be >= 1, got 0"),
+    ("cell tau", lambda x: SweepCell("uniform", (), 1, 1, x), "tau", 0, "tau must be >= 1, got 0"),
+    ("sweep trials", lambda x: run_sweep(_CELLS, x, 0), "trials", 0, "trials must be >= 1, got 0"),
+    ("sweep seed", lambda x: run_sweep(_CELLS, 1, x), "master seed", -1,
+     "master seed must be >= 0, got -1"),
+    ("tilt bins", lambda x: tilt_bin(_WINDOW, x), "tilt bins", 0, "tilt bins must be >= 1, got 0"),
+    ("edge bins", lambda x: fit_energy_edges([1.0, 2.0], x), "bins", 0, "bins must be >= 1, got 0"),
+    ("config tilt_bins", lambda x: AbstractionConfig(tilt_bins=x), "tilt_bins", 0,
+     "tilt_bins must be >= 1, got 0"),
+    ("config energy_bins", lambda x: AbstractionConfig(energy_bins=x), "energy_bins", 0,
+     "energy_bins must be >= 1, got 0"),
+    ("config rate_bins", lambda x: AbstractionConfig(rate_bins=x), "rate_bins", 0,
+     "rate_bins must be >= 1, got 0"),
+    ("prefix_len", lambda x: icd_prefix_state(_RECORD, x), "prefix_len", 0,
+     "prefix_len must be >= 1, got 0"),
+    ("segment start", lambda x: _stream([x]), "segment start", -1,
+     "segment starts [-1] must index the 2 samples"),
+    ("top_k", lambda x: blindness_decomposition(_TABLE, 2, top_k=x), "top_k", 0,
+     "top_k must be >= 1, got 0"),
+    ("number of classes", chance_accuracy, "number of classes", 0,
+     "number of classes must be >= 1, got 0"),
+    ("successes", lambda x: wilson_interval(x, 5), "successes", -1,
+     "successes must lie in [0, trials]; got -1 of 5"),
+    ("trials", lambda x: wilson_interval(1, x), "trials", 0, "trials must be >= 1, got 0"),
+    ("table n", lambda x: CountTable(counts={key(s="a"): 1}, n=x, schema=("s",)), "n", 0,
+     "a count table needs at least one observation (n >= 1)"),
+    ("f key", lambda x: FreqOfFreqs(f={x: 1}, n=1, k_observed=1), "frequency-of-frequencies entry",
+     0, "frequency-of-frequencies entries must be >= 1, got f[0]=1"),
+    ("f value", lambda x: FreqOfFreqs(f={1: x}, n=1, k_observed=1), "frequency-of-frequencies entry",
+     0, "frequency-of-frequencies entries must be >= 1, got f[1]=0"),
+    ("subject id", lambda x: ingest_pamap2([], [x]), "subject id", None, None),
+]
+_RANGED = [case for case in INTEGER_ARGUMENTS if case[3] is not None]
+# None is top_k's "no cap", so not a bad value there
+_NON_INTEGERS = [(case, bad) for case in INTEGER_ARGUMENTS for bad in (2.5, "3", None)
+                 if not (bad is None and case[0] == "top_k")]
+
+
+@pytest.mark.parametrize("case,bad", _NON_INTEGERS,
+                         ids=[f"{case[0]}-{type(bad).__name__}" for case, bad in _NON_INTEGERS])
+def test_a_non_integer_argument_is_an_input_error_naming_it(case, bad):
+    _, call, what, _, _ = case
+    with pytest.raises(InputError) as info:
+        call(bad)
+    assert str(info.value) == f"{what} must be an integer, got {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("case", _RANGED, ids=[case[0] for case in _RANGED])
+def test_the_first_out_of_range_integer_keeps_its_message(case):
+    _, call, _, low, message = case
+    with pytest.raises(InputError) as info:
+        call(low)
+    assert str(info.value) == message

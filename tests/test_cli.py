@@ -148,6 +148,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"blindspot: error: {message}\n"
 
+    @pytest.mark.parametrize("columns,message", [
+        (["a", "a"], "schema has duplicate factor names: ['a', 'a']"),
+        (["a|b"], "factor name may not contain '|': 'a|b'"),
+    ], ids=["duplicate", "pipe"])
+    @pytest.mark.parametrize("data", ["a,b\n1,2\n", "a,b\n", None], ids=["rows", "header", "absent"])
+    def test_bad_key_columns_are_a_usage_error(self, capsys, tmp_path, columns, message, data):
+        path = tmp_path / "k.csv"
+        if data is not None:
+            path.write_text(data)
+        assert main(["ingest", "--samples-csv", str(path), "--key-columns", *columns]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: --key-columns: {message}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -325,7 +339,6 @@ class TestExitCodes:
         [
             ("factor:a,factor:a\nx,y\n", ["histogram", "--samples"], "['a', 'a']"),
             ("a,a,count\nx,y,3\n", ["histogram", "--counts"], "['a', 'a']"),
-            ("act,b\nw,z\n", ["ingest", "--key-columns", "act", "act", "--samples-csv"], "['act', 'act']"),
         ],
     )
     def test_bad_schema_names_the_first_row(self, capsys, tmp_path, body, argv, names):
@@ -576,6 +589,16 @@ class TestCeiling:
         body = rows_of(capsys.readouterr().out)
         assert body[2] == ["2", "0.400000", "0.700000"]  # a = 1/4
 
+    def test_chance_over_more_classes_than_a_float_holds(self, capsys, tmp_path):
+        counts = tmp_path / "c.csv"
+        counts.write_text("activity,count\na,1\nb,1\nc,3\n")
+        argv = ["ceiling", "--counts", str(counts), "--tau-max", "2", "--blind-accuracy"]
+        assert main(argv + ["chance", "--classes", "1" + "0" * 400]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert main(argv + ["0"]) == 0
+        assert captured.out == capsys.readouterr().out
+
 
 class TestHistogram:
     def test_order_and_format(self, capsys, tmp_path):
@@ -620,6 +643,17 @@ class TestWilson:
         assert captured.out == ""
         assert captured.err == (
             f"blindspot: error: {acc}: line 5: successes must lie in [0, trials]; got 5 of 2\n"
+        )
+
+    def test_trials_beyond_the_float_range_exit_2(self, capsys, tmp_path):
+        acc = tmp_path / "acc.csv"
+        acc.write_text("class,successes,trials\nx,5,1" + "0" * 400 + "\n")
+        assert main(["wilson", "--input", str(acc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"blindspot: error: {acc}: line 2: trials must be at most 1.7976931348623157e+308 "
+            "(the largest float), got a 1329-bit integer\n"
         )
 
     def test_gzipped_input_matches_plain(self, capsys, tmp_path):

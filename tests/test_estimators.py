@@ -457,3 +457,5 @@ class TestWilson:
             wilson_interval(1, 5, confidence=0.0)
         with pytest.raises(InputError):
             wilson_interval(1.5, 5)
+        with pytest.raises(InputError, match="^trials must be at most "):
+            wilson_interval(5, 10**400)

@@ -41,6 +41,12 @@ class TestDistributions:
             assert dist.probs[i] == pytest.approx(weights[i] / z, rel=1e-14)
         assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_zipf_weight_below_the_float_range_is_zero(self):
+        # 10**400 overflows to inf, and 1/inf is the weight's limit
+        dist = zipf_distribution(10, 400.0)
+        assert dist.probs[0] == 1.0
+        assert dist.probs[9] == 0.0
+
     def test_zipf_exponent_zero_is_uniform(self):
         dist = zipf_distribution(4, 0.0)
         assert list(dist.probs) == pytest.approx([0.25] * 4)
