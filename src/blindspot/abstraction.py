@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .counts import KeyIndex, StateKey
-from .errors import InputError, MissingPrimaryDiagnosis, _check_int
+from .errors import InputError, MissingPrimaryDiagnosis, _check_float, _check_int
 
 __all__ = [
     "FACTOR_ACTIVITY",
@@ -83,11 +83,12 @@ class SensorWindow:
             raise InputError("a window needs at least one sample")
         if np.isnan(acc).any() or np.isnan(gyro).any():
             raise InputError("window contains NaN samples; impute or drop before windowing")
-        if not float(self.sample_rate_hz) > 0:
+        rate = _check_float(self.sample_rate_hz, "sample rate")
+        if not rate > 0:
             raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "acc", acc)
         object.__setattr__(self, "gyro", gyro)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
     def length(self) -> int:
@@ -120,7 +121,8 @@ class LabeledStream:
             raise InputError(f"labels shape {labels.shape} does not match {acc.shape[0]} samples")
         if acc.size and (np.isnan(acc).any() or np.isnan(gyro).any()):
             raise InputError("stream contains NaN sensor values; impute or drop rows first")
-        if not float(self.sample_rate_hz) > 0:
+        rate = _check_float(self.sample_rate_hz, "sample rate")
+        if not rate > 0:
             raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if self.timestamps is not None:
             ts = np.asarray(self.timestamps, dtype=float)
@@ -134,7 +136,7 @@ class LabeledStream:
         object.__setattr__(self, "acc", acc)
         object.__setattr__(self, "gyro", gyro)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     def __len__(self) -> int:
         return self.acc.shape[0]
@@ -143,8 +145,8 @@ class LabeledStream:
 def _window_shape(stream: LabeledStream, window_s: float, stride_s: float) -> tuple[int, int]:
     """Window length and hop in samples: round(window_s * rate) and
     round(stride_s * rate)."""
-    window_s = float(window_s)
-    stride_s = float(stride_s)
+    window_s = _check_float(window_s, "window_s")
+    stride_s = _check_float(stride_s, "stride_s")
     rate = stream.sample_rate_hz
     # a finite window_s * rate also bounds stride_s * rate, since stride_s <= window_s
     if not 0 < window_s * rate < math.inf:
@@ -409,7 +411,7 @@ def fit_edges(
 def _fit_count(config: AbstractionConfig, windows: int, fit_fraction: float) -> Optional[int]:
     """How many leading windows the edges are fitted on; None when the
     config has no quantile factor."""
-    fit_fraction = float(fit_fraction)
+    fit_fraction = _check_float(fit_fraction, "fit_fraction")
     if not 0.0 < fit_fraction <= 1.0:
         raise InputError(f"fit_fraction must lie in (0, 1], got {fit_fraction}")
     if FACTOR_ENERGY not in config.factors and FACTOR_RATE not in config.factors:

@@ -9,6 +9,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
@@ -471,6 +472,10 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
+    # a command's objects hold no reference cycles and live until it returns,
+    # so the cyclic collector would only walk them again and again
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _check_outputs(args)
         _check_needs(args)
@@ -487,6 +492,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"blindspot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def run() -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, _check_int
+from .errors import InputError, _check_float, _check_int
 
 __all__ = [
     "StateKey",
@@ -102,7 +102,7 @@ class StateKey:
         return StateKey(names, [self.value_of(n) for n in names])
 
     def serialize(self) -> str:
-        return "|".join(f"{n}={v}" for n, v in zip(self.names, self.values))
+        return "|".join(map("=".join, zip(self.names, self.values)))
 
     @classmethod
     def parse(cls, text: str) -> "StateKey":
@@ -150,18 +150,29 @@ class KeyIndex(dict):
     """``index[values]`` is the ``StateKey`` under ``schema``: built on first
     sight with every check ``StateKey(schema, values)`` makes, the same object
     after.  The schema is checked once, when the first key is built, so a bad
-    schema is reported at the row (and file line) that needed it."""
+    schema is reported at the row (and file line) that needed it.  Each value
+    string is checked once too: a tuple of the schema's width made only of
+    strings that passed before needs no check."""
 
     def __init__(self, schema: Sequence[str]):
         super().__init__()
         self.schema = schema
+        self._checked: set[str] = set()
 
     def __missing__(self, values: tuple) -> StateKey:
         if not self:
             self.schema = _check_schema(self.schema)
+        checked = values
+        if not (
+            type(values) is tuple
+            and len(values) == len(self.schema)
+            and self._checked.issuperset(values)
+        ):
+            checked = _check_values(self.schema, values)
+            self._checked.update(checked)
         key = object.__new__(StateKey)
         object.__setattr__(key, "names", self.schema)
-        object.__setattr__(key, "values", _check_values(self.schema, values))
+        object.__setattr__(key, "values", checked)
         self[values] = key
         return key
 
@@ -282,7 +293,7 @@ class EmpiricalDistribution:
         for key, p in self.probs.items():
             if not isinstance(key, StateKey):
                 raise InputError("distribution keys must be StateKey")
-            p = float(p)
+            p = _check_float(p, "probability")
             if not (0.0 <= p <= 1.0):
                 raise InputError(f"probability out of [0,1] for {key.serialize()!r}: {p}")
             snapshot[key] = p

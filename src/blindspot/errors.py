@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one integer-argument rule."""
+"""Exception types shared across the package, and the one rule each for
+integer and float arguments."""
 
 import operator
 
@@ -29,3 +30,14 @@ def _check_int(value, what: str, least=None) -> int:
     if least is not None and value < least:
         raise InputError(f"{what} must be >= {least}, got {value}")
     return value
+
+
+def _check_float(value, what: str) -> float:
+    """``value`` as a float; otherwise an InputError naming ``what``.  Text is
+    not a number here, although ``float`` would parse it."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{what} must be a number, got {type(value).__name__}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
 
@@ -42,7 +43,7 @@ from .counts import (
     StateKey,
     freq_of_freqs,
 )
-from .errors import InputError, _check_int
+from .errors import InputError, _check_float, _check_int
 
 __all__ = [
     "MODE_PLUGIN",
@@ -99,10 +100,7 @@ def _check_mode(mode: str) -> str:
 
 
 def _check_unit(x, what: str) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be a number, got {x!r}") from None
+    x = _check_float(x, what)
     if not (0.0 <= x <= 1.0):
         raise InputError(f"{what} must lie in [0, 1], got {x}")
     return x
@@ -208,11 +206,11 @@ class RiskWeights:
         for key, w in self.weights.items():
             if not isinstance(key, StateKey):
                 raise InputError("risk weight keys must be StateKey")
-            w = float(w)
+            w = _check_float(w, "risk weight")
             if not (w >= 0.0 and math.isfinite(w)):
                 raise InputError(f"risk weight for {key.serialize()!r} must be finite and >= 0, got {w}")
             snapshot[key] = w
-        default = float(self.default_weight)
+        default = _check_float(self.default_weight, "default risk weight")
         if not (default >= 0.0 and math.isfinite(default)):
             raise InputError(f"default risk weight must be finite and >= 0, got {default}")
         object.__setattr__(self, "weights", snapshot)
@@ -295,7 +293,10 @@ def blindness_decomposition(
         total = blind_observations / n
     else:
         total = math.fsum(e.contribution for e in entries)
-    entries.sort(key=lambda e: (-e.contribution, e.state.values))
+    # two stable sorts: by state, then by contribution, descending, keeping
+    # tied entries in state order
+    entries.sort(key=lambda e: e.state.values)
+    entries.sort(key=attrgetter("contribution"), reverse=True)
     return BlindnessDecomposition(entries=tuple(entries[:top_k]), tau=tau, total=total)
 
 
@@ -401,7 +402,7 @@ def wilson_interval(successes, trials, confidence: float = 0.95) -> tuple[float,
         )
     if not (0 <= s <= t):
         raise InputError(f"successes must lie in [0, trials]; got {s} of {t}")
-    confidence = float(confidence)
+    confidence = _check_float(confidence, "confidence")
     if not (0.0 < confidence < 1.0):
         raise InputError(f"confidence must lie strictly between 0 and 1, got {confidence}")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)

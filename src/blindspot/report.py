@@ -15,6 +15,8 @@ import csv
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractionConfig
@@ -27,9 +29,12 @@ from .estimators import (
     BlindnessDecomposition,
     BlindSpotCurve,
     CeilingCurve,
+    # no longer called here; the benchmark's --trace 1 looks it up on this
+    # module to time it
     blind_spot_curve,
     blindness_decomposition,
     ceiling_curve,
+    curve_from_freqs,
     mass_estimate,
 )
 from .simulator import SweepResult
@@ -82,7 +87,9 @@ def write_csv(fh, table: Table) -> None:
 
 def support_histogram(table: CountTable) -> list[tuple[StateKey, int]]:
     """(state, count) pairs, most frequent first; ties by state order."""
-    return sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0].values))
+    items = table.sorted_items()
+    items.sort(key=itemgetter(1), reverse=True)  # stable: ties keep state order
+    return items
 
 
 def histogram_table(histogram: Sequence[tuple[StateKey, int]]) -> Table:
@@ -101,10 +108,18 @@ def ceiling_table(ceiling: CeilingCurve) -> Table:
     return Table(("tau", "blind_mass", "ceiling"), ceiling.points)
 
 
-def decomposition_table(d: BlindnessDecomposition) -> Table:
+_NO_TEXTS: Mapping[int, str] = MappingProxyType({})
+
+
+def decomposition_table(d: BlindnessDecomposition, state_texts: Mapping[int, str] = _NO_TEXTS) -> Table:
+    """``state_texts`` maps ``id(key)`` to the serialized text of keys the
+    caller holds, so they are not serialized again; any other key is."""
     return Table(
         ("state", "count", "prob", "weight", "contribution"),
-        [(e.state.serialize(), e.count, e.prob, e.weight, e.contribution) for e in d.entries],
+        [
+            (state_texts.get(id(e.state)) or e.state.serialize(), e.count, e.prob, e.weight, e.contribution)
+            for e in d.entries
+        ],
     )
 
 
@@ -148,9 +163,8 @@ def build_report(
     modes = tuple(modes)
     if not modes:
         raise InputError("modes must name at least one estimator mode")
-    curves = tuple(blind_spot_curve(table, tau_max, mode=m) for m in modes)
-
     fof = freq_of_freqs(table)
+    curves = tuple(curve_from_freqs(fof, tau_max, m) for m in modes)
     decomps = []
     for tau in decomposition_taus:
         d = blindness_decomposition(table, tau, top_k=top_k)
@@ -214,12 +228,7 @@ def render_json(value) -> str:
     if isinstance(value, float):
         return _render_float(value)
     if isinstance(value, Table):
-        keys = [encode_basestring(k) + ":" for k in value.fields]
-        objects = [
-            "{" + ",".join([k + render_json(v) for k, v in zip(keys, row, strict=True)]) + "}"
-            for row in value.rows
-        ]
-        return "[" + ",".join(objects) + "]"
+        return _render_table(value)
     if isinstance(value, Mapping):
         items = (f"{encode_basestring(str(k))}:{render_json(v)}" for k, v in value.items())
         return "{" + ",".join(items) + "}"
@@ -228,9 +237,36 @@ def render_json(value) -> str:
     raise InvariantViolation(f"cannot render {type(value).__name__} as JSON")
 
 
-def decomposition_obj(d: BlindnessDecomposition) -> dict:
-    """JSON layout of one decomposition, for ``render_json``."""
-    return {"tau": d.tau, "total": d.total, "entries": decomposition_table(d)}
+class _FloatTexts(dict):
+    """``texts[x]`` is ``_render_float(x)``, rendered once per value: equal
+    floats render alike, ``-0.0`` as ``0``."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _render_float(x)
+        return text
+
+
+def _render_table(table: Table) -> str:
+    """One object per row, each rendered through one ``%`` template of the
+    fields.  Cells of exactly ``str``, ``int`` or ``float`` type are rendered
+    directly, any other through ``render_json``."""
+    width = len(table.fields)
+    template = "{" + ",".join(
+        encode_basestring(k).replace("%", "%%") + ":%s" for k in table.fields
+    ) + "}"
+    render = {str: encode_basestring, int: str, float: _FloatTexts().__getitem__}.get
+    objects = []
+    for row in table.rows:
+        if len(row) != width:
+            raise ValueError(f"a row of {len(row)} values for {width} fields {table.fields}")
+        objects.append(template % tuple([render(type(v), render_json)(v) for v in row]))
+    return "[" + ",".join(objects) + "]"
+
+
+def decomposition_obj(d: BlindnessDecomposition, state_texts: Mapping[int, str] = _NO_TEXTS) -> dict:
+    """JSON layout of one decomposition, for ``render_json``; ``state_texts``
+    as for ``decomposition_table``."""
+    return {"tau": d.tau, "total": d.total, "entries": decomposition_table(d, state_texts)}
 
 
 def bundle_to_json(bundle: ReportBundle) -> str:
@@ -238,16 +274,22 @@ def bundle_to_json(bundle: ReportBundle) -> str:
         (c.estimator_mode, c.n, c.k_observed, Table(("tau", "mass"), c.points))
         for c in bundle.curves
     ]
+    histogram = histogram_table(bundle.histogram)
+    # each key is serialized once: the decompositions reuse the histogram's text
+    state_texts = {id(key): row[0] for (key, _), row in zip(bundle.histogram, histogram.rows)}
     doc = {
         "metadata": bundle.metadata,
         "curves": Table(("mode", "n", "k_eff", "points"), curves),
-        "decompositions": [decomposition_obj(d) for d in bundle.decompositions],
+        "decompositions": [decomposition_obj(d, state_texts) for d in bundle.decompositions],
         "ceiling": {
             "assumed_blind_accuracy": bundle.ceiling.assumed_blind_accuracy,
             "points": ceiling_table(bundle.ceiling),
         },
-        "histogram": histogram_table(bundle.histogram),
+        "histogram": histogram,
     }
+    # the id map takes ~2.5 MB at 40k states: free it for the rendering, the
+    # memory peak, to reuse
+    del state_texts
     return render_json(doc) + "\n"
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counts import KNOWN_TRUTH, CountTable, EmpiricalDistribution, FreqOfFreqs, StateKey
-from .errors import InputError, InvariantViolation, _check_int
+from .errors import InputError, InvariantViolation, _check_float, _check_int
 from .estimators import ESTIMATOR_MODES, _check_tau, mass_estimate
 from .ingest import _split_list, read_kv_file
 
@@ -86,7 +86,7 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
 def zipf_distribution(size, exponent) -> SyntheticDistribution:
     """Entry i gets weight 1/(i+1)**exponent (ranks start at 1)."""
     size = _check_int(size, "size", 1)
-    exponent = float(exponent)
+    exponent = _check_float(exponent, "zipf exponent")
     if not exponent >= 0:
         raise InputError(f"zipf exponent must be >= 0, got {exponent}")
     with np.errstate(over="ignore"):  # a weight below the float range is 1/inf = 0
@@ -96,7 +96,7 @@ def zipf_distribution(size, exponent) -> SyntheticDistribution:
 
 def geometric_distribution(size, ratio) -> SyntheticDistribution:
     size = _check_int(size, "size", 1)
-    ratio = float(ratio)
+    ratio = _check_float(ratio, "geometric ratio")
     if not 0.0 < ratio < 1.0:
         raise InputError(f"geometric ratio must lie in (0, 1), got {ratio}")
     w = ratio ** np.arange(size, dtype=float)

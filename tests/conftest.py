@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from blindspot import CountTable, StateKey
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -41,6 +43,20 @@ def random_multi_table(rng: random.Random, max_count: int = 12) -> CountTable:
         )
         counts[state] = counts.get(state, 0) + rng.randint(1, max_count)
     return CountTable(counts=counts, n=sum(counts.values()), schema=("a", "b", "c"))
+
+
+@st.composite
+def tied_tables(draw) -> CountTable:
+    """Random 1- to 3-factor table whose counts (1..4) tie often and whose
+    values share prefixes ("a" < "ab" < "b"), so the state order decides
+    most ties."""
+    names = ("f", "g", "h")[: draw(st.integers(min_value=1, max_value=3))]
+    value = st.sampled_from(["a", "ab", "b", "b0", "10", "9"])
+    states = draw(st.lists(st.tuples(*[value] * len(names)), min_size=1, max_size=40, unique=True))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=4),
+                           min_size=len(states), max_size=len(states)))
+    return CountTable(counts={StateKey(names, s): c for s, c in zip(states, counts)},
+                      n=sum(counts), schema=names)
 
 
 # replayed activity-count table used across estimator and CLI tests

@@ -1,10 +1,12 @@
 """The package's public surface: it exports exactly the names its modules
-list, and every integer argument follows one rule."""
+list, and every integer argument follows one rule, every float argument
+another."""
 
 import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,17 +15,25 @@ import blindspot
 from blindspot import (
     AbstractionConfig,
     AdmissionRecord,
+    CeilingCurve,
+    EmpiricalDistribution,
     FreqOfFreqs,
     InputError,
     LabeledStream,
+    RiskWeights,
     SensorWindow,
     SweepCell,
+    accuracy_ceiling,
+    blind_spot_curve,
     blindness_decomposition,
+    ceiling_curve,
     chance_accuracy,
+    fit_edges,
     fit_energy_edges,
     geometric_distribution,
     icd_prefix_state,
     ingest_pamap2,
+    make_windows,
     run_sweep,
     sample,
     tilt_bin,
@@ -33,6 +43,7 @@ from blindspot import (
     zipf_distribution,
 )
 from blindspot.counts import CountTable
+from blindspot.errors import _check_float
 from blindspot.simulator import SyntheticDistribution, state_key
 from conftest import DATA_DIR, key, table_of
 
@@ -148,3 +159,52 @@ def test_the_first_out_of_range_integer_keeps_its_message(case):
     with pytest.raises(InputError) as info:
         call(low)
     assert str(info.value) == message
+
+
+# one call per float argument: (id, call taking the argument, the name its
+# message gives)
+_CURVE = blind_spot_curve(_TABLE, 2)
+FLOAT_ARGUMENTS = [
+    ("risk weight", lambda x: RiskWeights({key(s="a"): x}), "risk weight"),
+    ("default risk weight", lambda x: RiskWeights({}, default_weight=x), "default risk weight"),
+    ("probability", lambda x: EmpiricalDistribution({key(s="a"): x}, "plug-in"), "probability"),
+    ("confidence", lambda x: wilson_interval(1, 5, x), "confidence"),
+    ("zipf exponent", lambda x: zipf_distribution(5, x), "zipf exponent"),
+    ("geometric ratio", lambda x: geometric_distribution(5, x), "geometric ratio"),
+    ("window sample rate", lambda x: SensorWindow(acc=[[0.0, 0.0, 1.0]], gyro=[[0.0, 0.0, 0.0]],
+                                                  label=1, sample_rate_hz=x), "sample rate"),
+    ("stream sample rate", lambda x: LabeledStream(acc=np.zeros((2, 3)), gyro=np.zeros((2, 3)),
+                                                   labels=np.array([1, 1]), sample_rate_hz=x),
+     "sample rate"),
+    ("window_s", lambda x: make_windows(_stream(()), x, 1.0), "window_s"),
+    ("stride_s", lambda x: make_windows(_stream(()), 1.0, x), "stride_s"),
+    ("fit_fraction", lambda x: fit_edges(AbstractionConfig(), [], x), "fit_fraction"),
+    ("blind_mass", lambda x: accuracy_ceiling(x), "blind_mass"),
+    ("assumed_blind_accuracy", lambda x: accuracy_ceiling(0.5, x), "assumed_blind_accuracy"),
+    ("ceiling curve accuracy", lambda x: ceiling_curve(_CURVE, x), "assumed_blind_accuracy"),
+    ("ceiling accuracy", lambda x: CeilingCurve((), x), "assumed_blind_accuracy"),
+]
+# text is not a number, although float() would parse "0.5"
+_NON_NUMBERS = [(case, bad) for case in FLOAT_ARGUMENTS for bad in (None, "0.5", [0.5])]
+
+
+@pytest.mark.parametrize("case,bad", _NON_NUMBERS,
+                         ids=[f"{case[0]}-{type(bad).__name__}" for case, bad in _NON_NUMBERS])
+def test_a_non_number_float_argument_is_an_input_error_naming_it(case, bad):
+    _, call, what = case
+    with pytest.raises(InputError) as info:
+        call(bad)
+    assert str(info.value) == f"{what} must be a number, got {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("number", [1, True, 0.5, np.float32(0.5), np.int64(2), Fraction(1, 2)],
+                         ids=lambda x: type(x).__name__)
+def test_any_number_is_a_float(number):
+    assert _check_float(number, "x") == float(number)
+    assert type(_check_float(number, "x")) is float
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5")], ids=lambda x: type(x).__name__)
+def test_text_is_not_a_float(text):
+    with pytest.raises(InputError, match=f"^x must be a number, got {type(text).__name__}$"):
+        _check_float(text, "x")

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main()."""
 
 import csv
+import gc
 import gzip
 import io
 import json
@@ -358,6 +359,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"blindspot: error: {path}: samples file has no data rows\n"
+
+
+class TestCyclicCollector:
+    """A command runs with the cyclic collector paused and leaves it as it
+    found it, whatever its exit code."""
+
+    CASES = [
+        (0, ["histogram", "--counts", COUNTS]),
+        (1, ["frobnicate"]),
+        (1, ["ceiling", "--counts", COUNTS, "--tau-max", "2", "--blind-accuracy", "chance"]),
+        (2, ["histogram", "--counts", ABSENT]),
+        (3, ["histogram", "--counts", COUNTS]),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("code,argv", CASES, ids=["0", "1-parse", "1-needs", "2", "3"])
+    def test_main_restores_the_callers_state(self, capsys, monkeypatch, enabled, code, argv):
+        seen = []
+        read = blindspot.cli.read_counts_file
+
+        def reading(path):
+            seen.append(gc.isenabled())
+            if code == 3:
+                raise RuntimeError("a bug")
+            return read(path)
+
+        monkeypatch.setattr(blindspot.cli, "read_counts_file", reading)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([] if code == 1 else [False])
 
 
 class TestCurve:

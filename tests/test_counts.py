@@ -150,6 +150,54 @@ class TestKeyIndex:
             index[values]
         assert len(index) == 1
 
+    @pytest.mark.parametrize("bad", ["", " x", "x|y", "a=b", "x\ty"])
+    def test_a_rejected_token_is_rejected_again_with_the_same_message(self, bad):
+        index = KeyIndex(("a", "b"))
+        index[("x", "y")]
+        messages = []
+        for values in ((bad, "y"), ("y", bad), (bad, "y")):
+            with pytest.raises(InputError) as info:
+                index[values]
+            messages.append(str(info.value))
+        with pytest.raises(InputError) as info:
+            StateKey(("a", "b"), (bad, "y"))
+        assert messages == [str(info.value)] * 3
+        assert len(index) == 1
+
+    @pytest.mark.parametrize("values", [("x",), ("x", "y", "x"), "xy", "yx"])
+    def test_known_tokens_in_the_wrong_shape_keep_the_shape_error(self, values):
+        index = KeyIndex(("a", "b"))
+        index[("x", "y")]
+        index[("y", "x")]
+        with pytest.raises(InputError) as info:
+            index[values]
+        with pytest.raises(InputError) as public:
+            StateKey(("a", "b"), values)
+        assert str(info.value) == str(public.value)
+
+    def test_integer_values_are_coerced_as_the_constructor_does(self):
+        index = KeyIndex(("a", "b"))
+        index[("1", "2")]  # the tokens are known before the integers arrive
+        for values in ((1, 2), (1, "2"), (-3, 0), (10**30, "1")):
+            k = index[values]
+            public = StateKey(("a", "b"), values)
+            assert k == public and k.values == public.values
+            assert all(type(v) is str for v in k.values)
+        with pytest.raises(InputError, match="may not be a bool"):
+            index[(True, "9")]
+
+    def test_the_first_bad_line_is_reported_after_many_good_rows(self, tmp_path):
+        good = "".join(f"v{i % 50},w{i % 7},1\n" for i in range(2000))
+        for bad, message in (("v1|x,w1,1", "factor value may not contain '|': 'v1|x'"),
+                             ("v1,,1", "factor value must be non-empty without leading/trailing "
+                                       "whitespace: ''"),
+                             ("v1,w1,x", "count 'x' is not an integer")):
+            path = tmp_path / "c.csv"
+            path.write_text("a,b,count\n" + good + bad + "\nv2,w2,1\n" + bad + "\n")
+            with pytest.raises(InputError) as info:
+                read_counts_file(path)
+            assert str(info.value) == f"{path}: line 2002: {message}"
+
     def test_schema_is_checked_once_per_read(self, monkeypatch, tmp_path):
         calls = []
         check = blindspot.counts._check_schema

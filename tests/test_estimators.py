@@ -40,7 +40,7 @@ from blindspot.estimators import (
     BlindSpotCurve,
     DecompositionEntry,
 )
-from conftest import ACTIVITY_COUNTS, key, random_single_table, table_of
+from conftest import ACTIVITY_COUNTS, key, random_single_table, table_of, tied_tables
 
 # counts {a:1, b:1, c:3}, n=5: worked end to end by hand
 HAND_TABLE = {"a": 1, "b": 1, "c": 3}
@@ -335,6 +335,26 @@ class TestDecomposition:
             blindness_decomposition(table, 5, top_k=top_k)
         with pytest.raises(InputError, match="^top_k must be >= 1, got 0$"):
             blindness_decomposition(table, 5, top_k=0)
+
+    @given(tied_tables(), st.integers(min_value=1, max_value=5))
+    def test_unweighted_order_equals_the_one_key_sort(self, table, tau):
+        entries, _ = reference_decomposition(table, tau, None)
+        assert blindness_decomposition(table, tau).entries == entries
+
+    @given(tied_tables(), st.integers(min_value=1, max_value=5), st.data())
+    def test_weighted_order_equals_the_one_key_sort(self, table, tau, data):
+        # zero and equal weights tie contributions across different counts
+        weight = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        listed = data.draw(st.lists(st.tuples(st.sampled_from(list(table.counts)), weight)))
+        weights = RiskWeights(dict(listed), default_weight=data.draw(weight))
+        entries, _ = reference_decomposition(table, tau, weights)
+        assert blindness_decomposition(table, tau, weights=weights).entries == entries
+
+    @given(tied_tables(), st.integers(min_value=1, max_value=5))
+    def test_top_k_cuts_the_one_key_sort(self, table, tau):
+        entries, _ = reference_decomposition(table, tau, None)
+        for top_k in range(1, len(entries) + 3):
+            assert blindness_decomposition(table, tau, top_k).entries == entries[:top_k]
 
     @given(decomposition_cases())
     def test_matches_the_weighted_plug_in_reference(self, case):

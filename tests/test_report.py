@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from blindspot import (
 )
 from blindspot.counts import freq_of_freqs
 from blindspot.report import Table, write_csv
-from conftest import key, random_single_table, table_of
+from conftest import key, random_single_table, table_of, tied_tables
 
 import random
 
@@ -109,10 +111,65 @@ class TestTable:
         )
 
 
+def reference_json(value) -> str:
+    """``render_json`` as it rendered a ``Table`` before rows went through
+    one template: each cell rendered on its own and joined to its key."""
+    if not isinstance(value, Table):
+        return render_json(value)
+    keys = [encode_basestring(k) + ":" for k in value.fields]
+    objects = [
+        "{" + ",".join([k + reference_json(v) for k, v in zip(keys, row, strict=True)]) + "}"
+        for row in value.rows
+    ]
+    return "[" + ",".join(objects) + "]"
+
+
+# field names with the template's own "%", quotes and non-ASCII text
+FIELD_NAMES = st.one_of(st.text(), st.sampled_from(["%", "%s", "%%", "%(a)s", '"', "é", "名", "\\"]))
+# a float repeats within a table, -0.0 among them; numpy floats and bools are
+# not exactly float or int
+CELLS = st.one_of(
+    st.text(), st.integers(), st.none(), st.booleans(),
+    st.sampled_from([0.5, -0.0, 0.0, 0.1, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+def tables_of(cells):
+    return st.lists(FIELD_NAMES, unique=True, max_size=6).flatmap(
+        lambda fields: st.builds(
+            Table,
+            st.just(tuple(fields)),
+            st.lists(st.tuples(*[cells] * len(fields)), max_size=6),
+        )
+    )
+
+
+NESTED_TABLES = tables_of(st.one_of(CELLS, tables_of(CELLS)))
+
+
+class TestTableTemplate:
+    @settings(max_examples=300, deadline=None)
+    @given(NESTED_TABLES)
+    def test_equals_the_per_cell_rendering(self, table):
+        assert render_json(table) == reference_json(table)
+
+    def test_percent_in_a_field_name_is_literal(self):
+        table = Table(("%s", "100%"), [("x", 1), ("%d", 2.5)])
+        assert render_json(table) == '[{"%s":"x","100%":1},{"%s":"%d","100%":2.5}]'
+
+
 class TestFormatting:
     def test_fixed_six_decimals(self):
         assert format_float(0.0725) == "0.072500"
         assert format_float(1.0) == "1.000000"
+
+    @given(tied_tables())
+    def test_histogram_equals_the_one_key_sort(self, table):
+        assert support_histogram(table) == sorted(
+            table.counts.items(), key=lambda kv: (-kv[1], kv[0].values)
+        )
 
     def test_histogram_sorted_by_count_then_state(self):
         table = table_of({"b": 3, "a": 3, "c": 7})
