@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .counts import KeyIndex, StateKey
+from .counts import KeyIndex, StateKey, _coerce_value
 from .errors import InputError, MissingPrimaryDiagnosis, _check_float, _check_int
 
 __all__ = [
@@ -461,13 +461,25 @@ def _window_features(stream: LabeledStream, length: int, hop: int, starts: np.nd
     return out
 
 
-def _bins(values: np.ndarray, edges: tuple[float, ...]) -> list[int]:
-    """``energy_bin`` of each value against validated edges."""
+def _bins(values: np.ndarray, edges: tuple[float, ...]) -> list[str]:
+    """``energy_bin`` of each value against validated edges, as the text a
+    key stores; equal bins share one string."""
     q = len(edges) - 1
     if edges[0] == edges[-1]:
-        return [0] * len(values)
+        return ["0"] * len(values)
     within = values[:, None] <= np.asarray(edges[1:])
-    return np.where(within.any(axis=1), within.argmax(axis=1), q - 1).tolist()
+    bins = np.where(within.any(axis=1), within.argmax(axis=1), q - 1).tolist()
+    names = list(map(str, range(q)))
+    return list(map(names.__getitem__, bins))
+
+
+def _texts(labels: list) -> list[str]:
+    """Each label as the text a key stores, coerced and checked once per
+    distinct label, so equal labels share one string.  The type is part of
+    the memo key: ``True`` is refused, not read as ``1``."""
+    typed = list(zip(map(type, labels), labels))
+    text = {k: _coerce_value(k[1]) for k in dict.fromkeys(typed)}
+    return list(map(text.__getitem__, typed))
 
 
 def abstract_stream(
@@ -495,13 +507,16 @@ def abstract_stream(
     if FACTOR_RATE in config.factors:
         config = replace(config, rate_edges=fit_energy_edges(features[FACTOR_RATE][:m], config.rate_bins))
     labels = [_plain(label) for label in stream.labels[starts].tolist()]
+    # KeyIndex finds a row without a check only when it is made of strings
+    # it has checked, and fastest when equal values are one string object
     columns = []
     for factor in config.factors:
         if factor == FACTOR_ACTIVITY:
-            columns.append(labels)
+            columns.append(_texts(labels))
         elif factor == FACTOR_TILT:
             bins = config.tilt_bins
-            columns.append([_tilt_of_mean(mu, bins, label) for mu, label in zip(features[factor], labels)])
+            names = list(map(str, range(bins)))
+            columns.append([names[_tilt_of_mean(mu, bins, label)] for mu, label in zip(features[factor], labels)])
         elif factor == FACTOR_ENERGY:
             columns.append(_bins(features[factor], config.energy_edges))
         else:

@@ -152,7 +152,12 @@ class KeyIndex(dict):
     after.  The schema is checked once, when the first key is built, so a bad
     schema is reported at the row (and file line) that needed it.  Each value
     string is checked once too: a tuple of the schema's width made only of
-    strings that passed before needs no check."""
+    strings that passed before needs no check.
+
+    Keys are stored under their checked, all-string values only.  Any other
+    tuple is checked on every lookup, so an integer value finds the key of
+    its string and a bool, which equals 0 or 1 as a dict key, is refused.
+    Callers that look up many rows pass strings."""
 
     def __init__(self, schema: Sequence[str]):
         super().__init__()
@@ -162,18 +167,22 @@ class KeyIndex(dict):
     def __missing__(self, values: tuple) -> StateKey:
         if not self:
             self.schema = _check_schema(self.schema)
-        checked = values
-        if not (
+        if (
             type(values) is tuple
             and len(values) == len(self.schema)
             and self._checked.issuperset(values)
         ):
+            checked = values
+        else:
             checked = _check_values(self.schema, values)
             self._checked.update(checked)
+            key = self.get(checked)
+            if key is not None:
+                return key
         key = object.__new__(StateKey)
         object.__setattr__(key, "names", self.schema)
         object.__setattr__(key, "values", checked)
-        self[values] = key
+        self[checked] = key
         return key
 
 
@@ -319,6 +328,11 @@ def build_count_table(samples: Iterable["StateKey"], schema: Sequence[str]) -> C
     each distinct key once, and the rows are walked again only to name the
     first bad one.  Memory grows with the distinct states, plus one pointer
     per row when ``samples`` is not already a list or tuple.
+
+    A samples file is counted more cheaply by ``ingest.count_samples_file``,
+    which makes no per-row sequence and keeps memory proportional to the
+    file's distinct lines; it calls this function only when it falls back to
+    ``read_samples_file``.
     """
     schema = _check_schema(schema)
     if not isinstance(samples, (list, tuple)):

@@ -28,6 +28,7 @@ import math
 import re
 import warnings
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -42,7 +43,7 @@ from .abstraction import (
     LabeledStream,
     _icd_prefix,
 )
-from .counts import CountTable, KeyIndex, StateKey
+from .counts import CountTable, KeyIndex, StateKey, build_count_table
 from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis, _check_int
 from .estimators import RiskWeights
 
@@ -54,6 +55,7 @@ __all__ = [
     "DROP_NO_PRIMARY",
     "NOTE_DUPLICATE_PRIMARY",
     "read_samples_file",
+    "count_samples_file",
     "write_samples_file",
     "read_counts_file",
     "read_risk_weights",
@@ -171,6 +173,21 @@ def _write_samples(fh, samples: Iterable[StateKey], schema: Sequence[str]) -> No
         writer.writerow(list(key.values))
 
 
+def _read_samples_header(path, reader) -> tuple[str, ...]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty samples file (missing header)") from None
+    schema = []
+    for col in header:
+        if not col.startswith(_FACTOR_PREFIX):
+            raise InputError(
+                f"{path}: samples header column {col!r} must start with {_FACTOR_PREFIX!r}"
+            )
+        schema.append(col[len(_FACTOR_PREFIX):])
+    return tuple(schema)
+
+
 def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
     """Read a canonical samples CSV into one ``StateKey`` per row, in file
     order, and the schema named by its header.
@@ -179,21 +196,14 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
     time its row appears, so memory grows with the distinct states plus one
     pointer per row.  Errors name the line of the first row that shows them,
     the physical line on which that row ends.
+
+    This is the per-row API.  To count a file, ``count_samples_file`` is
+    cheaper: it parses each distinct line once and keeps no per-row list; it
+    falls back to this reader for quoted fields and to name a bad line.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty samples file (missing header)") from None
-        schema = []
-        for col in header:
-            if not col.startswith(_FACTOR_PREFIX):
-                raise InputError(
-                    f"{path}: samples header column {col!r} must start with {_FACTOR_PREFIX!r}"
-                )
-            schema.append(col[len(_FACTOR_PREFIX):])
-        schema = tuple(schema)
+        schema = _read_samples_header(path, reader)
         width = len(schema)
         keys = KeyIndex(schema)
         samples = []
@@ -203,6 +213,51 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
                     raise InputError(f"expected {width} fields, found {len(row)}")
                 samples.append(keys[tuple(row)])
     return samples, schema
+
+
+def count_samples_file(path) -> CountTable:
+    """The ``CountTable`` of a canonical samples CSV: equal to
+    ``build_count_table(*read_samples_file(path))``, with the same errors,
+    except that a file with no data rows raises ``<path>: samples file has
+    no data rows``.
+
+    The data lines are counted as raw text and each distinct line is parsed
+    and checked once, so the cost beyond reading the file, and the memory,
+    grow with the distinct lines, not the rows.  Lines that parse to the same
+    values (one row with different line endings, or none) count as one
+    state.  A file with a ``"`` in any data line (a quoted field may span
+    lines), or one that fails any check, is read again by
+    ``read_samples_file``, so quoting, the message and the line it names are
+    exactly that reader's.
+    """
+    try:
+        table = _count_distinct_lines(path)
+    except (InputError, csv.Error):
+        table = None  # read again below, to report the error as the row reader does
+    if table is None:
+        samples, schema = read_samples_file(path)
+        if not samples:
+            raise InputError(f"{path}: samples file has no data rows")
+        table = build_count_table(samples, schema)
+    return table
+
+
+def _count_distinct_lines(path) -> CountTable | None:
+    """``count_samples_file`` without its fallback: ``None`` when a data line
+    holds a ``"``."""
+    with _open_text(path) as fh:
+        schema = _read_samples_header(path, csv.reader(fh))
+        lines = Counter(fh)
+    if any('"' in line for line in lines):
+        return None
+    keys = KeyIndex(schema)
+    counts: dict[StateKey, int] = {}
+    # without quotes each line is one record; KeyIndex refuses a row of the
+    # wrong width as it refuses a bad value
+    for row, c in zip(csv.reader(lines), lines.values()):
+        key = keys[tuple(row)]
+        counts[key] = counts.get(key, 0) + c
+    return CountTable(counts=counts, n=lines.total(), schema=schema)
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,17 @@ class TestAbstractStream:
         with pytest.raises(InputError, match=r"^window \(label=4\) has a zero-norm mean acceleration; tilt is undefined$"):
             abstract_stream(stream, preset("activity-tilt"), 5.0, 2.5)
 
+    def test_a_bool_label_is_refused_after_the_integer_it_equals(self):
+        a = constant_stream(1000, label=1)
+        stream = LabeledStream(
+            acc=np.vstack([a.acc, a.acc]),
+            gyro=np.vstack([a.gyro, a.gyro]),
+            labels=np.array([1] * 1000 + [True] * 1000, dtype=object),
+            sample_rate_hz=100.0,
+        )
+        with pytest.raises(InputError, match="^factor value may not be a bool$"):
+            abstract_stream(stream, preset("activity"), 5.0, 2.5)
+
     def test_validation_matches_the_per_window_functions(self):
         stream = constant_stream(1000)
         with pytest.raises(InputError, match="stride_s"):

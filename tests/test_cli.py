@@ -761,6 +761,55 @@ class TestReport:
         assert doc["metadata"]["n"] == 1674
 
 
+class TestReportSamples:
+    """``report --samples`` counts distinct lines; what it accepts, prints and
+    refuses is what the row reader gives."""
+
+    def _report(self, capsys, path):
+        code = main(["report", "--samples", str(path), "--tau-max", "2"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("factor:a,factor:b\nx,y\nx,y\ny,x\nx\nx,y\n", "line 5: expected 2 fields, found 1"),
+            ("factor:a,factor:a\nx,y\nx,y\n", "line 2: schema has duplicate factor names: ['a', 'a']"),
+            ("factor:a,factor:b\n", "samples file has no data rows"),
+            ("factor:a,factor:b\r\n", "samples file has no data rows"),
+            ('factor:a,factor:b\nx,y\nx,"p\nq"\nx,y\n', "line 4: factor value may not contain '\\n': 'p\\nq'"),
+            ("factor:a,factor:b\nx,y\r\n\r\nx,y\r\n", "line 3: expected 2 fields, found 0"),
+            ("factor:a,factor:b\nx,y\nx, y\nx, y\n",
+             "line 3: factor value must be non-empty without leading/trailing whitespace: ' y'"),
+        ],
+    )
+    def test_errors_exit_2_naming_the_line(self, capsys, tmp_path, body, message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(body.encode())
+        code, captured = self._report(capsys, path)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {path}: {message}\n"
+
+    def test_quoted_fields_and_line_endings_count_as_their_values(self, capsys, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"factor:a,factor:b\nx,y\nx,y\nx,z\nx,p;q\n")
+        variant = tmp_path / "variant.csv"
+        variant.write_bytes(b'factor:a,factor:b\r\n"x",y\rx,y\r\nx,z\nx,"p;q"')
+        outputs = []
+        for path in (plain, variant):
+            code, captured = self._report(capsys, path)
+            assert code == 0 and captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        doc = json.loads(outputs[0])
+        assert doc["metadata"]["n"] == 4
+        assert doc["histogram"] == [
+            {"state": "a=x|b=y", "count": 2},
+            {"state": "a=x|b=p;q", "count": 1},
+            {"state": "a=x|b=z", "count": 1},
+        ]
+
+
 class TestIngest:
     def test_samples_csv_to_stdout(self, capsys, tmp_path):
         src = tmp_path / "rows.csv"

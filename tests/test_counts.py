@@ -186,6 +186,15 @@ class TestKeyIndex:
         with pytest.raises(InputError, match="may not be a bool"):
             index[(True, "9")]
 
+    @pytest.mark.parametrize("number,flag", [(1, True), (0, False)])
+    def test_a_bool_is_refused_after_the_integer_it_equals(self, number, flag):
+        index = KeyIndex(("a", "b"))
+        k = index[(number, "2")]
+        with pytest.raises(InputError, match="^factor value may not be a bool$"):
+            index[(flag, "2")]
+        assert index[(str(number), "2")] is k and index[(number, "2")] is k
+        assert list(index) == [(str(number), "2")]
+
     def test_the_first_bad_line_is_reported_after_many_good_rows(self, tmp_path):
         good = "".join(f"v{i % 50},w{i % 7},1\n" for i in range(2000))
         for bad, message in (("v1|x,w1,1", "factor value may not contain '|': 'v1|x'"),

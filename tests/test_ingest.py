@@ -17,6 +17,8 @@ from blindspot import (
     FACTOR_ORDER,
     AbstractionConfig,
     InputError,
+    build_count_table,
+    count_samples_file,
     SweepCell,
     abstract_stream,
     ingest_diagnoses,
@@ -119,6 +121,82 @@ class TestSamplesFile:
         path.write_text('factor:a,factor:b\n1,x\n2,y\n3\n"x|y",z\n')
         with pytest.raises(InputError, match="line 4: expected 2 fields, found 1"):
             read_samples_file(path)
+
+
+# cells that read as values, and cells the reader refuses or reads by quoting
+PLAIN_CELLS = st.sampled_from(["x", "y", "10", "p;q"])
+ODD_CELLS = st.sampled_from(['"x"', '"p,q"', '"a""b"', '"a\nb"', '"a\r\nb"', " x", "x ", "", "x|y", "x\ty"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def samples_texts(draw):
+    """Samples files with repeated rows, mixed line endings, an optional final
+    newline and, in about half of them, quoted, padded, blank, wrong-width or
+    refused cells and rows; a few have a bad or missing header."""
+    width = draw(st.integers(1, 3))
+    header = ",".join(f"factor:f{i}" for i in range(width))
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from(["", "f0", "factor:f0,factor:f0", '"factor:f0"']))
+    odd = draw(st.booleans())
+    cells = st.one_of(PLAIN_CELLS, ODD_CELLS) if odd else PLAIN_CELLS
+    pool = draw(st.lists(st.lists(cells, min_size=width, max_size=width).map(",".join),
+                         min_size=1, max_size=4))
+    if odd:
+        pool += ["", ",".join(["x"] * (width + 1))]
+    lines = [header] + draw(st.lists(st.sampled_from(pool), max_size=30))
+    text = "".join(line + draw(ENDINGS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome(read, path):
+    try:
+        table = read(path)
+    except InputError as exc:
+        return str(exc)
+    return dict(table.counts), table.n, table.schema
+
+
+def reference_count(path):
+    samples, schema = read_samples_file(path)
+    if not samples:
+        raise InputError(f"{path}: samples file has no data rows")
+    return build_count_table(samples, schema)
+
+
+class TestCountSamplesFile:
+    @settings(max_examples=300, deadline=None)
+    @given(text=samples_texts())
+    def test_equals_the_row_reader(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("count")
+        plain = work / "s.csv"
+        plain.write_bytes(text.encode())
+        packed = work / "s.csv.gz"
+        packed.write_bytes(gzip.compress(text.encode()))
+        for path in (plain, packed):
+            assert outcome(count_samples_file, path) == outcome(reference_count, path)
+
+    def test_lines_that_differ_only_in_their_ending_are_one_state(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"factor:a,factor:b\nx,y\nx,y\r\nx,y\rz,y\nx,y")
+        table = count_samples_file(path)
+        assert dict(table.counts) == {key(a="x", b="y"): 4, key(a="z", b="y"): 1}
+        assert table.n == 5 and table.schema == ("a", "b")
+        assert all(k.names is table.schema for k in table.counts)
+
+    def test_a_quoted_field_is_read_by_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_text('factor:a\nx\n"x"\n')
+        calls = []
+        monkeypatch.setattr(blindspot.ingest, "read_samples_file",
+                            lambda p: calls.append(p) or read_samples_file(p))
+        assert dict(count_samples_file(path).counts) == {key(a="x"): 2}
+        assert calls == [path]
+        path.write_text("factor:a\nx\nx\n")
+        assert dict(count_samples_file(path).counts) == {key(a="x"): 2}
+        assert calls == [path]
 
 
 class TestCountsFile:
