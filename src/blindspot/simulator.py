@@ -4,6 +4,12 @@ Sampling is inverse-CDF over a materialized probability vector, driven by
 NumPy's PCG64 generator.  Per-trial generators derive from the entropy tuple
 (master seed, cell index, trial index), so sweep results are reproducible and
 trials could be farmed out in parallel without changing a single draw.
+``sample`` keeps the draws in the order they were made.  A sweep trial needs
+only their counts, so it sorts its uniforms before the CDF search (the same
+multiset of states, found faster) and sums its true blind mass as the exact
+total of the probabilities minus the states seen at least tau times, which
+reads at most min(K, n/tau) probabilities and rounds to the same float as
+summing the blind states directly.
 ``read_sweep_spec`` reads the key=value grid of ``SweepCell``s a sweep runs.
 """
 
@@ -59,7 +65,8 @@ class SyntheticDistribution:
 
     def __post_init__(self):
         size = _check_int(self.size, "distribution size", 1)
-        probs = np.array(self.probs, dtype=float)
+        # + 0.0 turns a -0.0 into 0.0, so a sum of probabilities never ends at -0.0
+        probs = np.array(self.probs, dtype=float) + 0.0
         if probs.shape != (size,):
             raise InputError(f"probs must have shape ({size},), got {probs.shape}")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
@@ -163,19 +170,30 @@ def known_truth(dist: SyntheticDistribution) -> EmpiricalDistribution:
     )
 
 
+def _states_of(dist: SyntheticDistribution, u: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(dist._cum, u, side="right")
+    return np.minimum(idx, dist.size - 1, out=idx)
+
+
 def _sample_indices(dist: SyntheticDistribution, n: int, seed) -> np.ndarray:
     n = _check_int(n, "sample size", 1)
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    idx = np.searchsorted(dist._cum, u, side="right")
-    return np.minimum(idx, dist.size - 1)
+    return _states_of(dist, np.random.default_rng(seed).random(n))
+
+
+def _trial_counts(dist: SyntheticDistribution, n: int, seed) -> np.ndarray:
+    """Per-state counts of ``_sample_indices(dist, n, seed)``.  The uniforms
+    are sorted first: the counts need only the multiset of draws, and sorted
+    keys let each CDF search start where the last one ended."""
+    u = np.random.default_rng(seed).random(n)
+    u.sort()
+    return np.bincount(_states_of(dist, u), minlength=dist.size)
 
 
 def sample(dist: SyntheticDistribution, n, seed) -> list[StateKey]:
     """Draw n i.i.d. states; identical (dist, n, seed) gives identical draws."""
-    idx = _sample_indices(dist, n, seed)
-    lut = {int(i): state_key(int(i)) for i in np.unique(idx)}
-    return [lut[int(i)] for i in idx]
+    idx = _sample_indices(dist, n, seed).tolist()
+    lut = {i: state_key(i) for i in set(idx)}
+    return [lut[i] for i in idx]
 
 
 def _counts_vector(dist: SyntheticDistribution, table: CountTable) -> np.ndarray:
@@ -190,6 +208,27 @@ def _true_mass_from_counts(dist: SyntheticDistribution, counts: np.ndarray, tau:
     return math.fsum(dist.probs[blind].tolist())
 
 
+def _exact_parts(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    Each residual is a multiple of 2**-1074, so fsum never rounds a non-zero
+    one to 0.0, and each part leaves a residual about 2**-53 times smaller.
+    """
+    parts: list[float] = []
+    while r := math.fsum(values + [-p for p in parts]):
+        parts.append(r)
+    return parts
+
+
+def _true_mass_from_parts(
+    parts: list[float], dist: SyntheticDistribution, counts: np.ndarray, tau: int
+) -> float:
+    """``_true_mass_from_counts`` bit for bit, given ``parts`` from
+    ``_exact_parts(dist.probs.tolist())``: fsum rounds the exact total less
+    the states counted at least tau times once, as it rounds the blind sum."""
+    return math.fsum(parts + (-dist.probs[counts >= tau]).tolist())
+
+
 def true_blind_mass(dist: SyntheticDistribution, table: CountTable, tau) -> float:
     """Exact blind mass: sum of true probabilities of every state (seen or
     not) whose table count is below tau."""
@@ -197,11 +236,12 @@ def true_blind_mass(dist: SyntheticDistribution, table: CountTable, tau) -> floa
 
 
 def _freqs_from_counts(counts: np.ndarray, n: int) -> FreqOfFreqs:
+    # bincount over the zero counts too would add one to the same bin K - k
+    # times in a row, slower than the mask when K >> n
     observed = counts[counts > 0]
-    rs, fs = np.unique(observed, return_counts=True)
-    return FreqOfFreqs(
-        f={int(r): int(c) for r, c in zip(rs, fs)}, n=n, k_observed=int(observed.size)
-    )
+    fs = np.bincount(observed)
+    rs = np.flatnonzero(fs)
+    return FreqOfFreqs(f=dict(zip(rs.tolist(), fs[rs].tolist())), n=n, k_observed=observed.size)
 
 
 @dataclass(frozen=True)
@@ -272,8 +312,8 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
             return None
         try:
             value = int(kv[key])
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        except ValueError:
+            raise InputError(f"{path}: {key} must be an integer, got {kv[key]!r}") from None
         if value < least:
             raise InputError(f"{path}: {key} must be >= {least}, got {value}")
         return value
@@ -327,9 +367,14 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
     mass, cell by cell.
 
     Per trial: draw n samples, tabulate counts, record the true blind mass and
-    each mode's estimate at the cell's tau.  Reported per cell: mean and
-    sample standard deviation of the truth and of each mode, plus each mode's
-    mean absolute error against the paired truth.
+    each mode's estimate at the cell's tau.  The counts come from the trial's
+    sorted uniforms, so they are those of the same n draws ``sample`` would
+    make.  The true mass is one fsum of the cell's exact probability total,
+    held in a few floats, less the probabilities of the states counted at
+    least tau times: the same float as ``true_blind_mass`` gives, from at
+    most min(K, n/tau) probabilities.  Reported per cell: mean and sample
+    standard deviation of the truth and of each mode, plus each mode's mean
+    absolute error against the paired truth.
     """
     trials = _check_int(trials, "trials", 1)
     master_seed = _check_int(master_seed, "master seed", 0)
@@ -338,14 +383,22 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
         raise InputError("sweep needs at least one cell")
     out = []
     for ci, cell in enumerate(cells):
-        dist = family_distribution(cell.family, cell.size, dict(cell.params))
+        try:
+            dist = family_distribution(cell.family, cell.size, dict(cell.params))
+        except InputError:
+            raise
+        except (MemoryError, ValueError):  # numpy cannot allocate or address K floats
+            raise InputError(f"K={cell.size} is too large: the distribution does not fit in memory") from None
+        parts = _exact_parts(dist.probs.tolist())
         true_vals = []
         est_vals = {mode: [] for mode in ESTIMATOR_MODES}
         for t in range(trials):
             seed = np.random.SeedSequence((master_seed, ci, t))
-            idx = _sample_indices(dist, cell.n, seed)
-            counts = np.bincount(idx, minlength=cell.size)
-            true_vals.append(_true_mass_from_counts(dist, counts, cell.tau))
+            try:
+                counts = _trial_counts(dist, cell.n, seed)
+            except (MemoryError, ValueError):  # numpy cannot allocate or address n draws
+                raise InputError(f"n={cell.n} is too large: the draws do not fit in memory") from None
+            true_vals.append(_true_mass_from_parts(parts, dist, counts, cell.tau))
             fof = _freqs_from_counts(counts, cell.n)
             for mode in ESTIMATOR_MODES:
                 est_vals[mode].append(mass_estimate(fof, cell.tau, mode))

@@ -287,6 +287,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"blindspot: error: {spec}: seed must be >= 0, got -3\n"
 
+    @pytest.mark.parametrize("line, message", [
+        ("K = 1000000000000000\nn = 4", "K=1000000000000000 is too large: the distribution does not fit in memory"),
+        ("K = 3\nn = 1000000000000000", "n=1000000000000000 is too large: the draws do not fit in memory"),
+    ], ids=["K", "n"])
+    def test_a_cell_too_large_for_memory_exits_2(self, capsys, tmp_path, line, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"family = uniform\n{line}\ntau = 1\n")
+        assert main(["simulate", "--spec", str(spec), "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {message}\n"
+
     @pytest.mark.parametrize("line, message", [("trials = 0", "trials must be >= 1, got 0"),
                                                ("seed = -3", "seed must be >= 0, got -3")])
     def test_spec_range_errors_name_the_file(self, capsys, tmp_path, line, message):

@@ -424,6 +424,8 @@ class TestSweepSpec:
             ("family = pareto\nzipf_s = 1\nK = 5\nn = 10\ntau = 1\n", "pareto"),
             ("family = uniform\nn = 10\ntau = 1\n", "'K'"),
             ("family = uniform\nK = 5\nn = ten\ntau = 1\n", "integers"),
+            ("family = uniform\nK = 5\nn = 10\ntau = 1\ntrials = 1e3\n", r"trials must be an integer, got '1e3'$"),
+            ("family = uniform\nK = 5\nn = 10\ntau = 1\nseed = 0x1\n", r"seed must be an integer, got '0x1'$"),
             ("family = uniform\nK = 5\nn = 10\ntau = 1\nbogus = 2\n", "bogus"),
             ("family = uniform\nK = 5\nK = 6\n", "line 3: duplicate key 'K'$"),
             ("family = uniform\n\ntrials 4\n", "line 3: expected 'key = value', got 'trials 4'$"),

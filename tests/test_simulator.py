@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blindspot import (
     InputError,
@@ -27,9 +29,42 @@ from blindspot import (
     zipf_distribution,
 )
 from blindspot.counts import CountTable
-from blindspot.estimators import MODE_PLUGIN, MODE_PLUGIN_UNSEEN
-from blindspot.simulator import GENERATOR_NAME, state_index, state_key
+from blindspot.estimators import ESTIMATOR_MODES, MODE_PLUGIN, MODE_PLUGIN_UNSEEN
+from blindspot.simulator import (
+    GENERATOR_NAME,
+    STATE_FACTOR,
+    CellStats,
+    ModeStats,
+    SweepResult,
+    _exact_parts,
+    _sample_indices,
+    _trial_counts,
+    _true_mass_from_counts,
+    _true_mass_from_parts,
+    state_index,
+    state_key,
+)
 from conftest import key
+
+# normalized, its cumulative sum reaches 1.0000000000000002 one state before the end
+CUM_OVERSHOOT = custom_distribution([1.0, 0.05, 0.7, 0.2, 0.0])
+
+_WEIGHTS = st.sampled_from([0.0, 1.0, 0.05, 0.2, 0.7, 1 / 3, 1e-300]) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def distributions(draw):
+    """A custom distribution with zero-weight states anywhere, or a family one
+    of 1 to 5,000 states whose tail may underflow to zero."""
+    family = draw(st.sampled_from(["custom", "zipf", "geometric", "uniform"]))
+    if family == "custom":
+        return custom_distribution(draw(st.lists(_WEIGHTS, min_size=1, max_size=40).filter(any)))
+    size = draw(st.integers(1, 5_000))
+    if family == "zipf":
+        return zipf_distribution(size, draw(st.sampled_from([0.0, 0.6, 1.0, 1.5, 200.0])))
+    if family == "geometric":
+        return geometric_distribution(size, draw(st.sampled_from([0.01, 0.5, 0.9])))
+    return uniform_distribution(size)
 
 
 class TestDistributions:
@@ -123,6 +158,22 @@ class TestSampling:
         f0 = sum(1 for s in draws if s == state_key(0)) / len(draws)
         assert 0.498 <= f0 <= 0.502
 
+    @settings(max_examples=200, deadline=None)
+    @given(dist=distributions(), n=st.integers(1, 3_000), seed=st.integers(0, 2**64 - 1))
+    @example(dist=custom_distribution([1.0]), n=1, seed=0)
+    @example(dist=custom_distribution([0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0]), n=500, seed=1)
+    @example(dist=CUM_OVERSHOOT, n=2_000, seed=2)
+    @example(dist=uniform_distribution(20_000), n=3, seed=3)  # K >> n
+    @example(dist=zipf_distribution(3, 1.0), n=3_000, seed=4)  # n >> K
+    def test_trial_counts_are_the_counts_of_the_draws(self, dist, n, seed):
+        expected = np.bincount(_sample_indices(dist, n, seed), minlength=dist.size)
+        assert np.array_equal(_trial_counts(dist, n, seed), expected)
+
+    def test_cdf_overshoot_before_the_last_state(self):
+        assert CUM_OVERSHOOT._cum[-2] > 1.0 == CUM_OVERSHOOT._cum[-1]
+        counts = _trial_counts(CUM_OVERSHOOT, 5_000, 8)
+        assert counts.sum() == 5_000 and counts[-1] == 0
+
     def test_zipf_rank_frequency_slope(self):
         # frozen seed: fitted slope -0.9968 (neighbors -1.0093, -1.0066)
         dist = zipf_distribution(100, 1.0)
@@ -158,11 +209,68 @@ class TestTrueBlindMass:
                     expected += dist.probs[i]
             assert true_blind_mass(dist, table, tau) == pytest.approx(expected, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dist=distributions(),
+        n=st.integers(1, 3_000),
+        seed=st.integers(0, 2**32),
+        tau=st.integers(1, 12),
+        shuffle=st.booleans(),
+    )
+    @example(dist=uniform_distribution(3), n=300, seed=0, tau=1, shuffle=False)  # nothing blind
+    @example(dist=CUM_OVERSHOOT, n=50, seed=1, tau=3, shuffle=True)
+    def test_complement_sum_is_the_blind_sum_bit_for_bit(self, dist, n, seed, tau, shuffle):
+        counts = _trial_counts(dist, n, seed)
+        if shuffle:  # blind sets the draws would rarely leave
+            counts = np.random.default_rng(seed).permutation(counts)
+        got = _true_mass_from_parts(_exact_parts(dist.probs.tolist()), dist, counts, tau)
+        assert float.hex(got) == float.hex(_true_mass_from_counts(dist, counts, tau))
+
+    @pytest.mark.parametrize(
+        "weights, counts",
+        [([1.0, 2.0, 1.0], [3, 1, 1]), ([0.0, 1.0], [0, 5]), ([-0.0, 1.0, -0.0], [0, 2, 0])],
+    )
+    def test_nothing_blind_is_positive_zero(self, weights, counts):
+        dist = custom_distribution(weights)
+        counts = np.array(counts)
+        got = _true_mass_from_parts(_exact_parts(dist.probs.tolist()), dist, counts, 1)
+        assert float.hex(got) == float.hex(_true_mass_from_counts(dist, counts, 1)) == "0x0.0p+0"
+
     def test_foreign_state_rejected(self):
         dist = uniform_distribution(3)
         table = CountTable(counts={state_key(7): 2}, n=2, schema=("state",))
         with pytest.raises(InputError):
             true_blind_mass(dist, table, 1)
+
+
+def _reference_sweep(cells, trials, master_seed) -> SweepResult:
+    """``run_sweep`` one draw at a time, through ``sample``,
+    ``build_count_table``, ``freq_of_freqs`` and ``true_blind_mass``."""
+
+    def std(values, center):
+        if len(values) < 2:
+            return 0.0
+        return math.sqrt(math.fsum((v - center) ** 2 for v in values) / (len(values) - 1))
+
+    out = []
+    for ci, cell in enumerate(cells):
+        dist = family_distribution(cell.family, cell.size, dict(cell.params))
+        truth, estimates = [], {mode: [] for mode in ESTIMATOR_MODES}
+        for t in range(trials):
+            draws = sample(dist, cell.n, np.random.SeedSequence((master_seed, ci, t)))
+            table = build_count_table(draws, (STATE_FACTOR,))
+            truth.append(true_blind_mass(dist, table, cell.tau))
+            fof = freq_of_freqs(table)
+            for mode in ESTIMATOR_MODES:
+                estimates[mode].append(mass_estimate(fof, cell.tau, mode))
+        true_mean = math.fsum(truth) / trials
+        stats = []
+        for mode, values in estimates.items():
+            mean = math.fsum(values) / trials
+            error = math.fsum(abs(e - t) for e, t in zip(values, truth)) / trials
+            stats.append(ModeStats(mode, mean, std(values, mean), error))
+        out.append(CellStats(cell, trials, true_mean, std(truth, true_mean), tuple(stats)))
+    return SweepResult(tuple(out), trials, master_seed)
 
 
 class TestSweep:
@@ -245,6 +353,25 @@ class TestSweep:
         means = [cs.true_mean for cs in res.cells]
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert means[-1] > 0.0
+
+    def test_equals_the_per_draw_reference(self):
+        cells = [
+            SweepCell(family="zipf", params=(("s", 1.0),), size=200, n=275, tau=5),
+            SweepCell(family="uniform", params=(), size=3, n=300, tau=1),  # nothing blind
+            SweepCell(family="geometric", params=(("ratio", 0.5),), size=50, n=1, tau=1),
+            SweepCell(family="uniform", params=(), size=1, n=5, tau=2),
+            SweepCell(family="zipf", params=(("s", 1.1),), size=20_000, n=40, tau=2),  # K >> n
+            SweepCell(family="geometric", params=(("ratio", 0.9),), size=30, n=3_000, tau=10),
+        ]
+        assert run_sweep(cells, trials=4, master_seed=4) == _reference_sweep(cells, 4, 4)
+
+    @pytest.mark.parametrize("size, n", [(10**15, 10), (10**20, 10), (10, 10**15), (10, 10**20)])
+    def test_a_cell_too_large_for_memory_is_bad_input(self, size, n):
+        # numpy refuses these arrays before allocating anything
+        cell = SweepCell(family="uniform", params=(), size=size, n=n, tau=1)
+        named = f"K={size}" if size > n else f"n={n}"
+        with pytest.raises(InputError, match=f"^{named} is too large"):
+            run_sweep([cell], trials=1, master_seed=0)
 
     def test_validation(self):
         with pytest.raises(InputError):
