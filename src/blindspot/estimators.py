@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from statistics import NormalDist
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .counts import (
     KNOWN_TRUTH,
@@ -220,8 +220,9 @@ class RiskWeights:
         return self.weights.get(key, self.default_weight)
 
 
-@dataclass(frozen=True)
-class DecompositionEntry:
+class DecompositionEntry(NamedTuple):
+    """One row of the decomposition table: its fields are the table's header."""
+
     state: StateKey
     count: int
     prob: float
@@ -233,9 +234,11 @@ class DecompositionEntry:
 class BlindnessDecomposition:
     """Per-state contributions to a blindness estimate at one threshold.
 
-    Entries are sorted by contribution (descending), ties broken
-    lexicographically by state values.  ``total`` always reflects the full,
-    untruncated sum even when the entry list was cut to a top-k prefix.
+    ``blindness_decomposition``, the one producer, gives entries of count <
+    tau sorted by contribution (descending), ties broken lexicographically by
+    state values; only ``total`` is checked here.  ``total`` always reflects
+    the full, untruncated sum even when the entry list was cut to a top-k
+    prefix.
     """
 
     entries: tuple[DecompositionEntry, ...]
@@ -243,16 +246,6 @@ class BlindnessDecomposition:
     total: float
 
     def __post_init__(self):
-        prev = None
-        for e in self.entries:
-            if e.count >= self.tau:
-                raise InputError(
-                    f"decomposition entry {e.state.serialize()!r} has count {e.count} >= tau={self.tau}"
-                )
-            rank = (-e.contribution, e.state.values)
-            if prev is not None and rank < prev:
-                raise InputError("decomposition entries are not sorted")
-            prev = rank
         if not (math.isfinite(self.total) and self.total >= 0.0):
             raise InputError(f"decomposition total must be finite and >= 0, got {self.total}")
 
@@ -286,7 +279,7 @@ def blindness_decomposition(
             else:
                 w = weights.weight(key)
                 contribution = p * w
-            entries.append(DecompositionEntry(state=key, count=c, prob=p, weight=w, contribution=contribution))
+            entries.append(DecompositionEntry(key, c, p, w, contribution))
             blind_observations += c
     if weights is None:
         # same integer numerator and division as the plugin curve: totals match exactly

@@ -136,8 +136,9 @@ def _naming_path(path):
 
 @contextmanager
 def _open_text(path):
+    # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not text
     opener = gzip.open if str(path).endswith(".gz") else open
-    with _naming_path(path), opener(path, "rt", encoding="utf-8", newline="") as fh:
+    with _naming_path(path), opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
         yield fh
 
 

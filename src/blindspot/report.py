@@ -6,7 +6,8 @@ writer and the JSON renderer both take that table: ``write_csv`` writes the
 fields as the header and one line per row, ``render_json`` one object per
 row keyed by the fields in order.  JSON has ``.17g`` floats and a fixed
 field order, so two runs over identical inputs produce byte-identical
-documents; CSV has LF line endings and six-decimal floats.
+documents; CSV has LF line endings and six-decimal floats.  A ``StateKey``
+cell is written by both as its ``name=value|name=value`` text.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractionConfig
@@ -29,6 +29,7 @@ from .estimators import (
     BlindnessDecomposition,
     BlindSpotCurve,
     CeilingCurve,
+    DecompositionEntry,
     # no longer called here; the benchmark's --trace 1 looks it up on this
     # module to time it
     blind_spot_curve,
@@ -68,7 +69,9 @@ def format_float(value: float) -> str:
 
 @dataclass(frozen=True)
 class Table:
-    """One result: field names and rows of values, one value per field."""
+    """One result: field names and rows of values, one value per field.
+    Cells are ``None``, bools, ints, floats, strings, ``StateKey``s (written
+    as their serialized text), or anything else ``render_json`` takes."""
 
     fields: tuple[str, ...]
     rows: Sequence[Sequence]
@@ -93,7 +96,7 @@ def support_histogram(table: CountTable) -> list[tuple[StateKey, int]]:
 
 
 def histogram_table(histogram: Sequence[tuple[StateKey, int]]) -> Table:
-    return Table(("state", "count"), [(key.serialize(), count) for key, count in histogram])
+    return Table(("state", "count"), histogram)
 
 
 def curve_table(curves: Sequence[BlindSpotCurve]) -> Table:
@@ -108,19 +111,10 @@ def ceiling_table(ceiling: CeilingCurve) -> Table:
     return Table(("tau", "blind_mass", "ceiling"), ceiling.points)
 
 
-_NO_TEXTS: Mapping[int, str] = MappingProxyType({})
-
-
-def decomposition_table(d: BlindnessDecomposition, state_texts: Mapping[int, str] = _NO_TEXTS) -> Table:
-    """``state_texts`` maps ``id(key)`` to the serialized text of keys the
-    caller holds, so they are not serialized again; any other key is."""
-    return Table(
-        ("state", "count", "prob", "weight", "contribution"),
-        [
-            (state_texts.get(id(e.state)) or e.state.serialize(), e.count, e.prob, e.weight, e.contribution)
-            for e in d.entries
-        ],
-    )
+def decomposition_table(d: BlindnessDecomposition) -> Table:
+    """The entries as rows: each ``DecompositionEntry`` is one, its fields the
+    header."""
+    return Table(DecompositionEntry._fields, d.entries)
 
 
 def sweep_table(result: SweepResult) -> Table:
@@ -213,8 +207,9 @@ def _render_float(x: float) -> str:
 
 def render_json(value) -> str:
     """Compact JSON with insertion-ordered objects and ``.17g`` floats.
-    A ``Table`` renders as an array of objects keyed by its fields.
-    Strings are escaped as ``json.dumps(..., ensure_ascii=False)`` does."""
+    A ``Table`` renders as an array of objects keyed by its fields, a
+    ``StateKey`` as the string of its serialized text.  Strings are escaped
+    as ``json.dumps(..., ensure_ascii=False)`` does."""
     if value is None:
         return "null"
     if value is True:
@@ -227,6 +222,8 @@ def render_json(value) -> str:
         return str(value)
     if isinstance(value, float):
         return _render_float(value)
+    if isinstance(value, StateKey):
+        return _render_key(value)
     if isinstance(value, Table):
         return _render_table(value)
     if isinstance(value, Mapping):
@@ -235,6 +232,10 @@ def render_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(render_json(v) for v in value) + "]"
     raise InvariantViolation(f"cannot render {type(value).__name__} as JSON")
+
+
+def _render_key(key: StateKey) -> str:
+    return encode_basestring(key.serialize())
 
 
 class _FloatTexts(dict):
@@ -248,13 +249,13 @@ class _FloatTexts(dict):
 
 def _render_table(table: Table) -> str:
     """One object per row, each rendered through one ``%`` template of the
-    fields.  Cells of exactly ``str``, ``int`` or ``float`` type are rendered
-    directly, any other through ``render_json``."""
+    fields.  Cells of exactly ``str``, ``int``, ``float`` or ``StateKey`` type
+    are rendered directly, any other through ``render_json``."""
     width = len(table.fields)
     template = "{" + ",".join(
         encode_basestring(k).replace("%", "%%") + ":%s" for k in table.fields
     ) + "}"
-    render = {str: encode_basestring, int: str, float: _FloatTexts().__getitem__}.get
+    render = {str: encode_basestring, int: str, float: _FloatTexts().__getitem__, StateKey: _render_key}.get
     objects = []
     for row in table.rows:
         if len(row) != width:
@@ -263,10 +264,9 @@ def _render_table(table: Table) -> str:
     return "[" + ",".join(objects) + "]"
 
 
-def decomposition_obj(d: BlindnessDecomposition, state_texts: Mapping[int, str] = _NO_TEXTS) -> dict:
-    """JSON layout of one decomposition, for ``render_json``; ``state_texts``
-    as for ``decomposition_table``."""
-    return {"tau": d.tau, "total": d.total, "entries": decomposition_table(d, state_texts)}
+def decomposition_obj(d: BlindnessDecomposition) -> dict:
+    """JSON layout of one decomposition, for ``render_json``."""
+    return {"tau": d.tau, "total": d.total, "entries": decomposition_table(d)}
 
 
 def bundle_to_json(bundle: ReportBundle) -> str:
@@ -274,22 +274,16 @@ def bundle_to_json(bundle: ReportBundle) -> str:
         (c.estimator_mode, c.n, c.k_observed, Table(("tau", "mass"), c.points))
         for c in bundle.curves
     ]
-    histogram = histogram_table(bundle.histogram)
-    # each key is serialized once: the decompositions reuse the histogram's text
-    state_texts = {id(key): row[0] for (key, _), row in zip(bundle.histogram, histogram.rows)}
     doc = {
         "metadata": bundle.metadata,
         "curves": Table(("mode", "n", "k_eff", "points"), curves),
-        "decompositions": [decomposition_obj(d, state_texts) for d in bundle.decompositions],
+        "decompositions": [decomposition_obj(d) for d in bundle.decompositions],
         "ceiling": {
             "assumed_blind_accuracy": bundle.ceiling.assumed_blind_accuracy,
             "points": ceiling_table(bundle.ceiling),
         },
-        "histogram": histogram,
+        "histogram": histogram_table(bundle.histogram),
     }
-    # the id map takes ~2.5 MB at 40k states: free it for the rendering, the
-    # memory peak, to reuse
-    del state_texts
     return render_json(doc) + "\n"
 
 

@@ -206,6 +206,24 @@ class TestExitCodes:
         named = next(arg.format(bad=bad) for arg in argv if "{bad}" in arg)
         assert f"blindspot: error: {named}: " in captured.err
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["histogram", "--counts", "{path}"], DATA_DIR / "activity_counts.csv"),
+        (["histogram", "--counts", "{path}.gz"], DATA_DIR / "activity_counts.csv"),
+        (["histogram", "--samples", "{path}"], GOLDEN_INPUTS / "samples.csv"),
+        (["wilson", "--input", "{path}"], GOLDEN_INPUTS / "wilson.csv"),
+    ], ids=["counts", "counts-gz", "samples", "wilson"])
+    def test_a_byte_order_mark_changes_no_output(self, capsys, tmp_path, argv, seed):
+        # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark
+        outputs = []
+        for name, data in [("plain", seed.read_bytes()), ("bom", b"\xef\xbb\xbf" + seed.read_bytes())]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            (tmp_path / f"{name}.gz").write_bytes(gzip.compress(data))
+            assert main([arg.format(path=path) for arg in argv]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert "\ufeff" not in outputs[1].out and outputs[1].err == ""
+
     @pytest.mark.parametrize(
         "flag, text",
         [("--samples", 'factor:a\nx\n"{big}"\n'), ("--counts", 'a,count\nx,1\n"{big}",2\n')],

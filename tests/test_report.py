@@ -25,7 +25,7 @@ from blindspot import (
     render_json,
     support_histogram,
 )
-from blindspot.counts import freq_of_freqs
+from blindspot.counts import StateKey, freq_of_freqs
 from blindspot.report import Table, write_csv
 from conftest import key, random_single_table, table_of, tied_tables
 
@@ -67,7 +67,25 @@ class TestRenderJson:
             render_json({1, 2})
 
 
-SCALARS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+# key names and values, with the characters CSV and JSON escape: ",", '"',
+# "\\" and non-ASCII text
+TOKENS = st.one_of(
+    st.sampled_from([",", '"', "\\", 'a,"b"\\c', "é", "名"]),
+    st.text(min_size=1).filter(lambda t: t == t.strip() and not any(c in t for c in "=|\t\n\r")),
+)
+STATE_KEYS = st.lists(st.tuples(TOKENS, TOKENS), min_size=1, max_size=3, unique_by=lambda nv: nv[0]).map(
+    lambda pairs: StateKey(*zip(*pairs))
+)
+SCALARS = st.one_of(
+    st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), STATE_KEYS
+)
+
+
+def as_text(cell):
+    """A ``StateKey`` cell as the text both writers give it; any other as is."""
+    return cell.serialize() if isinstance(cell, StateKey) else cell
+
+
 TABLES = st.lists(st.text(), unique=True, max_size=6).flatmap(
     lambda fields: st.builds(
         Table,
@@ -81,7 +99,7 @@ class TestTable:
     @settings(max_examples=200, deadline=None)
     @given(TABLES)
     def test_json_equals_one_object_per_row(self, table):
-        records = [dict(zip(table.fields, row)) for row in table.rows]
+        records = [dict(zip(table.fields, map(as_text, row))) for row in table.rows]
         assert render_json(table) == render_json(records)
 
     @settings(max_examples=200, deadline=None)
@@ -91,7 +109,7 @@ class TestTable:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(list(table.fields))
         for row in table.rows:
-            writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([format_float(v) if isinstance(v, float) else as_text(v) for v in row])
         got = io.StringIO()
         write_csv(got, table)
         assert got.getvalue() == expected.getvalue()
@@ -129,7 +147,7 @@ FIELD_NAMES = st.one_of(st.text(), st.sampled_from(["%", "%s", "%%", "%(a)s", '"
 # a float repeats within a table, -0.0 among them; numpy floats and bools are
 # not exactly float or int
 CELLS = st.one_of(
-    st.text(), st.integers(), st.none(), st.booleans(),
+    st.text(), st.integers(), st.none(), st.booleans(), STATE_KEYS,
     st.sampled_from([0.5, -0.0, 0.0, 0.1, 1e300]),
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
