@@ -322,8 +322,6 @@ def _cmd_wilson(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cells, spec_trials, spec_seed = read_sweep_spec(args.spec)
-    if not cells:
-        raise InputError(f"{args.spec}: sweep spec produced no cells")
     trials = args.trials if args.trials is not None else (spec_trials if spec_trials is not None else 100)
     seed = args.seed if args.seed is not None else (spec_seed if spec_seed is not None else 0)
     result = run_sweep(cells, trials, seed)

@@ -188,16 +188,18 @@ class KeyIndex(dict):
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact observation counts over states sharing one factor schema.
+    """Exact observation counts over states sharing one factor schema:
+    ``CountTable(counts, schema)``.
 
-    Only observed states are stored (every stored count is >= 1); the count of
-    any other state is 0 by definition.  ``n`` is the total number of
-    observations and always equals the sum of stored counts.
+    Only observed states are stored (every stored count is >= 1, and at
+    least one state); the count of any other state is 0 by definition.
+    ``n``, the total number of observations, is the sum of the stored counts,
+    computed here rather than passed.
     """
 
     counts: Mapping["StateKey", int]
-    n: int
     schema: tuple[str, ...]
+    n: int = field(init=False)
 
     def __post_init__(self):
         schema = _check_schema(self.schema)
@@ -218,13 +220,10 @@ class CountTable:
                 raise InputError(f"stored counts must be >= 1, got {c} for {key.serialize()!r}")
             snapshot[key] = c
             total += c
-        n = _check_int(self.n, "n")
-        if n < 1:
-            raise InputError("a count table needs at least one observation (n >= 1)")
-        if total != n:
-            raise InputError(f"counts sum to {total} but n={n}")
+        if not snapshot:
+            raise InputError("a count table needs at least one observation")
         object.__setattr__(self, "counts", MappingProxyType(snapshot))
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", total)
         object.__setattr__(self, "schema", schema)
 
     @property
@@ -240,11 +239,14 @@ class CountTable:
 
 @dataclass(frozen=True)
 class FreqOfFreqs:
-    """How many states were seen exactly r times, for each observed r."""
+    """How many states were seen exactly r times, for each observed r:
+    ``FreqOfFreqs(f)``, ``f`` mapping each r to f_r (integers >= 1, at least
+    one entry).  The totals ``n`` (observations) and ``k_observed`` (states)
+    are computed from ``f`` rather than passed."""
 
     f: Mapping[int, int]
-    n: int
-    k_observed: int
+    n: int = field(init=False)
+    k_observed: int = field(init=False)
     # observed r ascending; _below[i] sums r*f_r over the first i of them
     _rs: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -265,12 +267,11 @@ class FreqOfFreqs:
             for x in (*self.f, *self.f.values()):
                 _check_int(x, "frequency-of-frequencies entry")
             raise
-        if below[-1] != self.n:
-            raise InputError(f"sum of r*f_r is {below[-1]} but n={self.n}")
-        states = sum(snapshot.values())
-        if states != self.k_observed:
-            raise InputError(f"sum of f_r is {states} but k_observed={self.k_observed}")
+        if not snapshot:
+            raise InputError("a frequency-of-frequencies table needs at least one entry")
         object.__setattr__(self, "f", MappingProxyType(snapshot))
+        object.__setattr__(self, "n", below[-1])
+        object.__setattr__(self, "k_observed", sum(snapshot.values()))
         object.__setattr__(self, "_rs", tuple(snapshot))
         object.__setattr__(self, "_below", tuple(below))
 
@@ -340,7 +341,7 @@ def build_count_table(samples: Iterable["StateKey"], schema: Sequence[str]) -> C
     if not samples:
         raise InputError("no samples given: a count table needs at least one observation")
     try:
-        return CountTable(counts=Counter(samples), n=len(samples), schema=schema)
+        return CountTable(counts=Counter(samples), schema=schema)
     except (TypeError, InputError):  # an unhashable sample, or a key CountTable refused
         _raise_first_bad_sample(samples, schema)
         raise
@@ -367,8 +368,7 @@ def _raise_sample_mismatch(i: int, key: StateKey, schema: tuple[str, ...]):
 
 def freq_of_freqs(table: CountTable) -> FreqOfFreqs:
     """Tabulate f_r = number of states observed exactly r times."""
-    f = Counter(table.counts.values())
-    return FreqOfFreqs(f=dict(f), n=table.n, k_observed=table.k_observed)
+    return FreqOfFreqs(f=Counter(table.counts.values()))
 
 
 def plug_in_distribution(table: CountTable) -> EmpiricalDistribution:
@@ -396,4 +396,4 @@ def coarsen(table: CountTable, projection: Sequence[str]) -> CountTable:
     merged: Counter[StateKey] = Counter()
     for key, c in table.counts.items():
         merged[keys[tuple(map(key.value_of, retained))]] += c
-    return CountTable(counts=merged, n=table.n, schema=retained)
+    return CountTable(counts=merged, schema=retained)

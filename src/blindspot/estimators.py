@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 from statistics import NormalDist
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -262,15 +262,15 @@ def blindness_decomposition(
     weight: ``weights.weight(state)``, or 1.0 when ``weights`` is None.
     Entries are sorted by contribution (descending, ties by state values) and
     cut to the ``top_k`` largest.  ``total`` covers every blind state whatever
-    ``top_k`` is.  Unweighted, it is the plugin curve's value at tau exactly;
-    weighted, it is the ``math.fsum`` of the contributions.
+    ``top_k`` is.  Unweighted, it is the plugin estimate of
+    ``freq_of_freqs(table)`` at tau, so it equals the plugin curve's value
+    there exactly; weighted, it is the ``math.fsum`` of the contributions.
     """
     tau = _check_tau(tau)
     if top_k is not None:
         top_k = _check_int(top_k, "top_k", 1)
     n = table.n
     entries = []
-    blind_observations = 0
     for key, c in table.counts.items():
         if c < tau:
             p = c / n
@@ -280,10 +280,8 @@ def blindness_decomposition(
                 w = weights.weight(key)
                 contribution = p * w
             entries.append(DecompositionEntry(key, c, p, w, contribution))
-            blind_observations += c
     if weights is None:
-        # same integer numerator and division as the plugin curve: totals match exactly
-        total = blind_observations / n
+        total = _mass(freq_of_freqs(table), tau, MODE_PLUGIN)
     else:
         total = math.fsum(e.contribution for e in entries)
     # two stable sorts: by state, then by contribution, descending, keeping
@@ -303,22 +301,22 @@ def accuracy_ceiling(blind_mass, assumed_blind_accuracy=0.0) -> float:
 
 @dataclass(frozen=True)
 class CeilingCurve:
-    """(tau, blind_mass, ceiling) triples under one blind-accuracy assumption."""
+    """(tau, blind_mass, ceiling) triples under one blind-accuracy assumption:
+    ``CeilingCurve(masses, assumed_blind_accuracy)`` takes (tau, blind_mass)
+    pairs and computes each ceiling with ``accuracy_ceiling``."""
 
-    points: tuple[tuple[int, float, float], ...]
+    masses: InitVar[Sequence[tuple[int, float]]]
     assumed_blind_accuracy: float
+    points: tuple[tuple[int, float, float], ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, masses):
         a = _check_unit(self.assumed_blind_accuracy, "assumed_blind_accuracy")
-        for tau, mass, ceil in self.points:
-            if ceil != accuracy_ceiling(mass, a):
-                raise InputError(f"ceiling at tau={tau} does not match (1-b) + b*a")
+        object.__setattr__(self, "assumed_blind_accuracy", a)
+        object.__setattr__(self, "points", tuple((t, b, accuracy_ceiling(b, a)) for t, b in masses))
 
 
 def ceiling_curve(curve: BlindSpotCurve, assumed_blind_accuracy=0.0) -> CeilingCurve:
-    a = _check_unit(assumed_blind_accuracy, "assumed_blind_accuracy")
-    points = tuple((tau, mass, accuracy_ceiling(mass, a)) for tau, mass in curve.points)
-    return CeilingCurve(points=points, assumed_blind_accuracy=a)
+    return CeilingCurve(curve.points, assumed_blind_accuracy)
 
 
 def chance_accuracy(num_classes) -> float:

@@ -21,6 +21,7 @@ physical line on which the record ends (``<path>: line <n>: <message>``).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
 import logging
@@ -134,11 +135,14 @@ def _naming_path(path):
         raise InputError(f"{path}: {exc}") from None
 
 
+def _opener(path):
+    return gzip.open if str(path).endswith(".gz") else open
+
+
 @contextmanager
 def _open_text(path):
     # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not text
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with _naming_path(path), opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
+    with _naming_path(path), _opener(path)(path, "rt", encoding="utf-8-sig", newline="") as fh:
         yield fh
 
 
@@ -258,7 +262,7 @@ def _count_distinct_lines(path) -> CountTable | None:
     for row, c in zip(csv.reader(lines), lines.values()):
         key = keys[tuple(row)]
         counts[key] = counts.get(key, 0) + c
-    return CountTable(counts=counts, n=lines.total(), schema=schema)
+    return CountTable(counts=counts, schema=schema)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,6 @@ def read_counts_file(path) -> CountTable:
         )
         keys = KeyIndex(schema)
         counts: dict[StateKey, int] = {}
-        total = 0
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
                 if len(row) != len(header):
@@ -298,10 +301,9 @@ def read_counts_file(path) -> CountTable:
                 if c < 1:
                     raise InputError(f"count must be >= 1, got {c}")
                 counts[key] = counts.get(key, 0) + c
-                total += c
         if not counts:
             raise InputError(f"{path}: counts file has no data rows")
-    return CountTable(counts=counts, n=total, schema=schema)
+    return CountTable(counts=counts, schema=schema)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +568,7 @@ _SAMPLE_RATE_HZ = 100.0
 
 def _scan_raw_file(path) -> None:
     # slow diagnostic pass, run only after the fast parser failed
-    with _naming_path(path), open(path, encoding="utf-8") as fh, _at_line(path, lambda: lineno):
+    with _open_text(path) as fh, _at_line(path, lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             tokens = line.split("#", 1)[0].split()  # np.loadtxt's comment rule
             if not tokens:
@@ -580,6 +582,18 @@ def _scan_raw_file(path) -> None:
                     raise InputError(f"non-numeric value {tok!r}") from None
 
 
+def _load_raw(path) -> np.ndarray:
+    """``np.loadtxt`` of one recording.  numpy reads a path faster than a
+    Python text handle, so only a file that starts with a byte-order mark is
+    read through ``_open_text``, which skips the mark."""
+    with _opener(path)(path, "rb") as fh:
+        marked = fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
+    if not marked:
+        return np.loadtxt(path, dtype=float, ndmin=2)
+    with _open_text(path) as fh:
+        return np.loadtxt(fh, dtype=float, ndmin=2)
+
+
 def _parse_raw_file(path, base: int, summary: IngestionSummary) -> np.ndarray:
     """One recording's kept rows as a (rows, 8) float block, maybe empty:
     timestamp, activity id, then the 16g acc xyz and gyro xyz of the IMU at
@@ -587,7 +601,7 @@ def _parse_raw_file(path, base: int, summary: IngestionSummary) -> np.ndarray:
     try:
         with _naming_path(path), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty files warn; they parse to no rows
-            data = np.loadtxt(path, dtype=float, ndmin=2)
+            data = _load_raw(path)
         if data.size and data.shape[1] != _RAW_COLUMNS:
             raise ValueError(f"expected {_RAW_COLUMNS} columns, found {data.shape[1]}")
     except InputError:

@@ -30,15 +30,15 @@ from .estimators import (
     BlindSpotCurve,
     CeilingCurve,
     DecompositionEntry,
-    # no longer called here; the benchmark's --trace 1 looks it up on this
-    # module to time it
+    # blind_spot_curve and mass_estimate are no longer called here; the
+    # benchmark's --trace 1 looks them up on this module to time them
     blind_spot_curve,
     blindness_decomposition,
     ceiling_curve,
     curve_from_freqs,
     mass_estimate,
 )
-from .simulator import SweepResult
+from .simulator import GENERATOR_NAME, SweepResult
 
 __all__ = [
     "TOOL_VERSION",
@@ -126,7 +126,7 @@ def sweep_table(result: SweepResult) -> Table:
     for cs in result.cells:
         cell = cs.cell
         params = ";".join(f"{k}={format(v, 'g')}" for k, v in cell.params)
-        row = [cell.family, params, cell.size, cell.n, cell.tau, cs.trials, cs.true_mean, cs.true_std]
+        row = [cell.family, params, cell.size, cell.n, cell.tau, result.trials, cs.true_mean, cs.true_std]
         by_mode = {m.mode: m for m in cs.estimates}
         for mode in ESTIMATOR_MODES:
             m = by_mode[mode]
@@ -159,16 +159,7 @@ def build_report(
         raise InputError("modes must name at least one estimator mode")
     fof = freq_of_freqs(table)
     curves = tuple(curve_from_freqs(fof, tau_max, m) for m in modes)
-    decomps = []
-    for tau in decomposition_taus:
-        d = blindness_decomposition(table, tau, top_k=top_k)
-        plugin_mass = mass_estimate(fof, tau, MODE_PLUGIN)
-        if not math.isclose(d.total, plugin_mass, rel_tol=0.0, abs_tol=1e-12):
-            raise InvariantViolation(
-                f"decomposition total {d.total!r} disagrees with low-count mass {plugin_mass!r} at tau={tau}"
-            )
-        decomps.append(d)
-
+    decomps = tuple(blindness_decomposition(table, tau, top_k=top_k) for tau in decomposition_taus)
     ceiling = ceiling_curve(curves[0], blind_accuracy)
 
     metadata: dict = {}
@@ -186,7 +177,7 @@ def build_report(
 
     return ReportBundle(
         curves=curves,
-        decompositions=tuple(decomps),
+        decompositions=decomps,
         ceiling=ceiling,
         histogram=tuple(support_histogram(table)),
         metadata=metadata,
@@ -298,7 +289,7 @@ def sweep_to_json(result: SweepResult) -> str:
     ]
     doc = {
         "tool_version": TOOL_VERSION,
-        "generator": result.generator,
+        "generator": GENERATOR_NAME,
         "master_seed": result.master_seed,
         "trials": result.trials,
         "cells": Table(

@@ -16,7 +16,7 @@ summing the blind states directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,19 +56,21 @@ _DIST_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SyntheticDistribution:
-    """A fully known distribution over states s0..s(K-1)."""
+    """A fully known distribution over states s0..s(K-1):
+    ``SyntheticDistribution(family, params, probs)``.  ``size``, the K of
+    the state space, is the length of ``probs``, computed here rather than
+    passed."""
 
     family: str
-    size: int
     params: tuple[tuple[str, float], ...]
     probs: np.ndarray
+    size: int = field(init=False)
 
     def __post_init__(self):
-        size = _check_int(self.size, "distribution size", 1)
         # + 0.0 turns a -0.0 into 0.0, so a sum of probabilities never ends at -0.0
         probs = np.array(self.probs, dtype=float) + 0.0
-        if probs.shape != (size,):
-            raise InputError(f"probs must have shape ({size},), got {probs.shape}")
+        if probs.ndim != 1 or probs.size < 1:
+            raise InputError("probabilities must be a non-empty 1-D vector")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise InputError("probabilities must be finite and >= 0")
         if abs(math.fsum(probs.tolist()) - 1.0) > _DIST_SUM_TOL:
@@ -77,7 +79,7 @@ class SyntheticDistribution:
         cum = np.cumsum(probs)
         cum[-1] = 1.0
         cum.setflags(write=False)
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", probs.size)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "params", tuple((str(k), float(v)) for k, v in self.params))
         object.__setattr__(self, "_cum", cum)
@@ -98,7 +100,7 @@ def zipf_distribution(size, exponent) -> SyntheticDistribution:
         raise InputError(f"zipf exponent must be >= 0, got {exponent}")
     with np.errstate(over="ignore"):  # a weight below the float range is 1/inf = 0
         w = 1.0 / np.arange(1, size + 1, dtype=float) ** exponent
-    return SyntheticDistribution("zipf", size, (("s", exponent),), _normalized(w))
+    return SyntheticDistribution("zipf", (("s", exponent),), _normalized(w))
 
 
 def geometric_distribution(size, ratio) -> SyntheticDistribution:
@@ -107,13 +109,13 @@ def geometric_distribution(size, ratio) -> SyntheticDistribution:
     if not 0.0 < ratio < 1.0:
         raise InputError(f"geometric ratio must lie in (0, 1), got {ratio}")
     w = ratio ** np.arange(size, dtype=float)
-    return SyntheticDistribution("geometric", size, (("ratio", ratio),), _normalized(w))
+    return SyntheticDistribution("geometric", (("ratio", ratio),), _normalized(w))
 
 
 def uniform_distribution(size) -> SyntheticDistribution:
     size = _check_int(size, "size", 1)
     w = np.ones(size, dtype=float)
-    return SyntheticDistribution("uniform", size, (), _normalized(w))
+    return SyntheticDistribution("uniform", (), _normalized(w))
 
 
 def custom_distribution(probs) -> SyntheticDistribution:
@@ -122,7 +124,7 @@ def custom_distribution(probs) -> SyntheticDistribution:
         raise InputError("custom probabilities must be a non-empty 1-D vector")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise InputError("custom probabilities must be finite and >= 0")
-    return SyntheticDistribution("custom", int(w.size), (), _normalized(w))
+    return SyntheticDistribution("custom", (), _normalized(w))
 
 
 _FAMILY_PARAMS = {"zipf": ("s",), "geometric": ("ratio",), "uniform": ()}
@@ -235,13 +237,12 @@ def true_blind_mass(dist: SyntheticDistribution, table: CountTable, tau) -> floa
     return _true_mass_from_counts(dist, _counts_vector(dist, table), _check_tau(tau))
 
 
-def _freqs_from_counts(counts: np.ndarray, n: int) -> FreqOfFreqs:
+def _freqs_from_counts(counts: np.ndarray) -> FreqOfFreqs:
     # bincount over the zero counts too would add one to the same bin K - k
     # times in a row, slower than the mask when K >> n
-    observed = counts[counts > 0]
-    fs = np.bincount(observed)
+    fs = np.bincount(counts[counts > 0])
     rs = np.flatnonzero(fs)
-    return FreqOfFreqs(f=dict(zip(rs.tolist(), fs[rs].tolist())), n=n, k_observed=observed.size)
+    return FreqOfFreqs(f=dict(zip(rs.tolist(), fs[rs].tolist())))
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
         return vals
 
     param_combos: list[tuple[str, tuple[tuple[str, float], ...]]] = []
-    for family in _split_list(kv["family"]):
+    for family in listed("family", str, "names"):
         if family == "zipf":
             if "zipf_s" not in kv:
                 raise InputError(f"{path}: family zipf needs zipf_s")
@@ -333,7 +334,6 @@ class ModeStats:
 @dataclass(frozen=True)
 class CellStats:
     cell: SweepCell
-    trials: int
     true_mean: float
     true_std: float
     estimates: tuple[ModeStats, ...]
@@ -349,7 +349,6 @@ class SweepResult:
     cells: tuple[CellStats, ...]
     trials: int
     master_seed: int
-    generator: str = GENERATOR_NAME
 
 
 def _mean(values) -> float:
@@ -399,7 +398,7 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
             except (MemoryError, ValueError):  # numpy cannot allocate or address n draws
                 raise InputError(f"n={cell.n} is too large: the draws do not fit in memory") from None
             true_vals.append(_true_mass_from_parts(parts, dist, counts, cell.tau))
-            fof = _freqs_from_counts(counts, cell.n)
+            fof = _freqs_from_counts(counts)
             for mode in ESTIMATOR_MODES:
                 est_vals[mode].append(mass_estimate(fof, cell.tau, mode))
         true_mean = _mean(true_vals)
@@ -418,7 +417,6 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
         out.append(
             CellStats(
                 cell=cell,
-                trials=trials,
                 true_mean=true_mean,
                 true_std=_std(true_vals, true_mean),
                 estimates=tuple(estimates),

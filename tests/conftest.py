@@ -20,7 +20,7 @@ def key(**factors) -> StateKey:
 def table_of(counts, factor: str = "activity") -> CountTable:
     """Single-factor count table from a {value: count} mapping."""
     mapped = {key(**{factor: value}): c for value, c in counts.items()}
-    return CountTable(counts=mapped, n=sum(counts.values()), schema=(factor,))
+    return CountTable(counts=mapped, schema=(factor,))
 
 
 def random_single_table(rng: random.Random, max_states: int = 40, max_count: int = 20) -> CountTable:
@@ -42,7 +42,7 @@ def random_multi_table(rng: random.Random, max_count: int = 12) -> CountTable:
             c=f"c{rng.randrange(sizes[2])}",
         )
         counts[state] = counts.get(state, 0) + rng.randint(1, max_count)
-    return CountTable(counts=counts, n=sum(counts.values()), schema=("a", "b", "c"))
+    return CountTable(counts=counts, schema=("a", "b", "c"))
 
 
 @st.composite
@@ -55,8 +55,7 @@ def tied_tables(draw) -> CountTable:
     states = draw(st.lists(st.tuples(*[value] * len(names)), min_size=1, max_size=40, unique=True))
     counts = draw(st.lists(st.integers(min_value=1, max_value=4),
                            min_size=len(states), max_size=len(states)))
-    return CountTable(counts={StateKey(names, s): c for s, c in zip(states, counts)},
-                      n=sum(counts), schema=names)
+    return CountTable(counts={StateKey(names, s): c for s, c in zip(states, counts)}, schema=names)
 
 
 # replayed activity-count table used across estimator and CLI tests

@@ -42,9 +42,8 @@ from blindspot import (
     wilson_interval,
     zipf_distribution,
 )
-from blindspot.counts import CountTable
 from blindspot.errors import _check_float
-from blindspot.simulator import SyntheticDistribution, state_key
+from blindspot.simulator import state_key
 from conftest import DATA_DIR, key, table_of
 
 MODULES = ("abstraction", "counts", "errors", "estimators", "ingest", "report", "simulator")
@@ -99,8 +98,6 @@ INTEGER_ARGUMENTS = [
     ("zipf size", lambda x: zipf_distribution(x, 1.0), "size", 0, "size must be >= 1, got 0"),
     ("geometric size", lambda x: geometric_distribution(x, 0.5), "size", 0, "size must be >= 1, got 0"),
     ("uniform size", uniform_distribution, "size", 0, "size must be >= 1, got 0"),
-    ("distribution size", lambda x: SyntheticDistribution("custom", x, (), [1.0]),
-     "distribution size", 0, "distribution size must be >= 1, got 0"),
     ("state index", state_key, "state index", -1, "state index must be >= 0, got -1"),
     ("sample size", lambda x: sample(_DIST, x, 0), "sample size", 0, "sample size must be >= 1, got 0"),
     ("true_blind_mass tau", lambda x: true_blind_mass(_DIST, table_of({"s0": 1}, "state"), x),
@@ -130,11 +127,9 @@ INTEGER_ARGUMENTS = [
     ("successes", lambda x: wilson_interval(x, 5), "successes", -1,
      "successes must lie in [0, trials]; got -1 of 5"),
     ("trials", lambda x: wilson_interval(1, x), "trials", 0, "trials must be >= 1, got 0"),
-    ("table n", lambda x: CountTable(counts={key(s="a"): 1}, n=x, schema=("s",)), "n", 0,
-     "a count table needs at least one observation (n >= 1)"),
-    ("f key", lambda x: FreqOfFreqs(f={x: 1}, n=1, k_observed=1), "frequency-of-frequencies entry",
+    ("f key", lambda x: FreqOfFreqs(f={x: 1}), "frequency-of-frequencies entry",
      0, "frequency-of-frequencies entries must be >= 1, got f[0]=1"),
-    ("f value", lambda x: FreqOfFreqs(f={1: x}, n=1, k_observed=1), "frequency-of-frequencies entry",
+    ("f value", lambda x: FreqOfFreqs(f={1: x}), "frequency-of-frequencies entry",
      0, "frequency-of-frequencies entries must be >= 1, got f[1]=0"),
     ("subject id", lambda x: ingest_pamap2([], [x]), "subject id", None, None),
 ]

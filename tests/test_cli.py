@@ -224,6 +224,22 @@ class TestExitCodes:
         assert outputs[1] == outputs[0]
         assert "\ufeff" not in outputs[1].out and outputs[1].err == ""
 
+    @pytest.mark.parametrize("name", ["subject101.dat", "subject101.dat.gz"], ids=["pamap2", "pamap2-gz"])
+    def test_a_byte_order_mark_changes_no_recording_output(self, capsys, tmp_path, monkeypatch, name):
+        # the summary on stderr names each recording: run both from a
+        # directory of their own, under the same relative name
+        data = (GOLDEN_INPUTS / "subject101.dat").read_bytes()
+        outputs = []
+        for variant, body in [("plain", data), ("bom", b"\xef\xbb\xbf" + data)]:
+            (tmp_path / variant).mkdir()
+            monkeypatch.chdir(tmp_path / variant)
+            (tmp_path / variant / name).write_bytes(gzip.compress(body) if name.endswith(".gz") else body)
+            argv = ["ingest", "--pamap2", name, "--subjects", "101", "--window-s", "0.5", "--stride-s", "0.25"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert "\ufeff" not in outputs[1].out + outputs[1].err
+
     @pytest.mark.parametrize(
         "flag, text",
         [("--samples", 'factor:a\nx\n"{big}"\n'), ("--counts", 'a,count\nx,1\n"{big}",2\n')],
@@ -329,6 +345,14 @@ class TestExitCodes:
         assert captured.err.startswith(f"blindspot: error: {spec}: ")
         assert captured.err == f"blindspot: error: {spec}: {message}\n"
 
+    def test_a_family_line_naming_no_family_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("family = ,\nK = 3\nn = 4\ntau = 1\n")
+        assert main(["simulate", "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {spec}: family must name at least one value\n"
+
     @pytest.mark.parametrize("window, code", [("inf", 1), ("1e307", 2)])
     def test_unbounded_window_length_is_rejected(self, capsys, tmp_path, window, code):
         argv = ["ingest", "--pamap2", PAMAP2, "--subjects", "101", "--window-s", window,
@@ -362,8 +386,12 @@ class TestExitCodes:
     def test_one_version_literal(self):
         # a regex, not tomllib, so that this runs on Python 3.10
         pyproject = (SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
-        declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE).group(1)
-        assert declared == blindspot.__version__ == TOOL_VERSION
+        # the package metadata reads its version from the one literal
+        assert re.search(r'^dynamic\s*=\s*\["version"\]', pyproject, re.MULTILINE)
+        (source,) = re.findall(r'^version\s*=\s*\{\s*attr\s*=\s*"([^"]+)"\s*\}', pyproject, re.MULTILINE)
+        assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
+        assert source == "blindspot.report.TOOL_VERSION"
+        assert blindspot.__version__ == TOOL_VERSION
 
     @pytest.mark.parametrize(
         "body,argv,names",

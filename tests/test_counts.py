@@ -308,15 +308,21 @@ class TestCountTable:
 
     def test_duplicate_schema_names_rejected(self):
         with pytest.raises(InputError):
-            CountTable(counts={key(a="1", b="2"): 1}, n=1, schema=("a", "a"))
+            CountTable(counts={key(a="1", b="2"): 1}, schema=("a", "a"))
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
-            CountTable(counts={key(s="a"): 0}, n=0, schema=("s",))
+            CountTable(counts={key(s="a"): 0}, schema=("s",))
 
     def test_sum_mismatch_rejected(self):
-        with pytest.raises(InputError):
+        # n is the sum of the counts: no other value can be given
+        with pytest.raises(TypeError):
             CountTable(counts={key(s="a"): 2}, n=3, schema=("s",))
+        assert CountTable(counts={key(s="a"): 2, key(s="b"): 1}, schema=("s",)).n == 3
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="needs at least one observation"):
+            CountTable(counts={}, schema=("s",))
 
     def test_counts_are_read_only(self):
         table = table_of({"a": 1, "b": 2})
@@ -352,17 +358,31 @@ class TestFreqOfFreqs:
                            min_size=1, max_size=20),
            st.lists(st.integers(min_value=-2, max_value=10**20 + 2), max_size=10))
     def test_below_is_the_exact_prefix_numerator(self, f, ts):
-        fof = FreqOfFreqs(f=f, n=sum(r * fr for r, fr in f.items()), k_observed=sum(f.values()))
+        fof = FreqOfFreqs(f=f)
         for t in [*ts, *f, *(r + 1 for r in f)]:
             assert fof.below(t) == sum(r * fr for r, fr in f.items() if r < t)
 
+    @given(st.dictionaries(st.integers(min_value=1, max_value=10**20),
+                           st.integers(min_value=1, max_value=10**20), min_size=1, max_size=20))
+    def test_totals_are_derived_from_f(self, f):
+        fof = FreqOfFreqs(f)
+        assert fof.n == sum(r * fr for r, fr in f.items())
+        assert fof.k_observed == sum(f.values())
+
+    @given(st.dictionaries(TOKENS, st.integers(min_value=1, max_value=10**20), min_size=1, max_size=30))
+    def test_totals_are_the_tables(self, counts):
+        table = table_of(counts)
+        fof = freq_of_freqs(table)
+        assert fof.n == table.n == sum(counts.values())
+        assert fof.k_observed == table.k_observed == len(counts)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="at least one entry"):
+            FreqOfFreqs({})
+
     def test_inconsistent_totals_rejected(self):
         with pytest.raises(InputError):
-            FreqOfFreqs(f={1: 2}, n=3, k_observed=2)
-        with pytest.raises(InputError):
-            FreqOfFreqs(f={1: 2}, n=2, k_observed=3)
-        with pytest.raises(InputError):
-            FreqOfFreqs(f={0: 1}, n=0, k_observed=1)
+            FreqOfFreqs(f={0: 1})
 
 
 class TestEmpiricalDistribution:

@@ -583,6 +583,15 @@ def raw_row(ts, act, acc=(0.0, 0.0, 9.8), gyro=(0.1, 0.2, 0.3), base=CHEST_BASE)
     return row
 
 
+RAW_NAMES = ("subject101.dat", "subject101.dat.gz")
+
+
+def write_raw_text(path, text):
+    """``text`` as UTF-8, gzipped when the file name ends in ``.gz``."""
+    data = text.encode()
+    path.write_bytes(gzip.compress(data) if path.suffix == ".gz" else data)
+
+
 def write_dat(path, rows):
     def tok(v):
         if isinstance(v, float) and math.isnan(v):
@@ -722,21 +731,25 @@ class TestRawRecordingAdapter:
         with pytest.raises(InputError, match="placement"):
             ingest_pamap2([path], [101], "wrist")
 
+    # numpy decompresses a .gz recording itself; the scan that names the bad
+    # line must read the same text
     def test_short_row_reported_with_file_and_line(self, tmp_path):
-        path = tmp_path / "subject101.dat"
         good = " ".join(["0"] * 54)
-        path.write_text(f"{good}\n{good}\n0 1 2\n")
-        with raises_at(path, "line 3: expected 54 columns, found 3$"):
-            ingest_pamap2([path], [101], "chest")
+        for name in RAW_NAMES:
+            path = tmp_path / name
+            write_raw_text(path, f"{good}\n{good}\n0 1 2\n")
+            with raises_at(path, "line 3: expected 54 columns, found 3$"):
+                ingest_pamap2([path], [101], "chest")
 
     def test_non_numeric_token_reported_with_file_and_line(self, tmp_path):
-        path = tmp_path / "subject101.dat"
         row = ["0"] * 54
         row[5] = "abc"
         good = " ".join(["0"] * 54)
-        path.write_text(f"{good}\n{' '.join(row)}\n")
-        with raises_at(path, "line 2: non-numeric value 'abc'$"):
-            ingest_pamap2([path], [101], "chest")
+        for name in RAW_NAMES:
+            path = tmp_path / name
+            write_raw_text(path, f"{good}\n{' '.join(row)}\n")
+            with raises_at(path, "line 2: non-numeric value 'abc'$"):
+                ingest_pamap2([path], [101], "chest")
 
     def test_uniformly_wrong_width_reported(self, tmp_path):
         path = tmp_path / "subject101.dat"

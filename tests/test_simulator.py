@@ -4,6 +4,7 @@ Seeds in this file are frozen: each statistical assertion was checked against
 the live behavior (and neighboring seeds) before the bound was committed.
 """
 
+import json
 import math
 import random
 
@@ -30,12 +31,14 @@ from blindspot import (
 )
 from blindspot.counts import CountTable
 from blindspot.estimators import ESTIMATOR_MODES, MODE_PLUGIN, MODE_PLUGIN_UNSEEN
+from blindspot.report import sweep_to_json
 from blindspot.simulator import (
     GENERATOR_NAME,
     STATE_FACTOR,
     CellStats,
     ModeStats,
     SweepResult,
+    SyntheticDistribution,
     _exact_parts,
     _sample_indices,
     _trial_counts,
@@ -105,6 +108,14 @@ class TestDistributions:
             custom_distribution([0.0, 0.0])
         with pytest.raises(InputError):
             custom_distribution([])
+
+    def test_size_is_the_length_of_probs(self):
+        assert SyntheticDistribution("custom", (), [0.25, 0.75]).size == 2
+
+    @pytest.mark.parametrize("probs", [[], [[1.0]], 1.0])
+    def test_probs_must_be_a_non_empty_vector(self, probs):
+        with pytest.raises(InputError, match="non-empty 1-D vector"):
+            SyntheticDistribution("custom", (), probs)
 
     def test_family_routing(self):
         assert list(family_distribution("zipf", 4, {"s": 1.0}).probs) == list(zipf_distribution(4, 1.0).probs)
@@ -187,9 +198,7 @@ class TestSampling:
 class TestTrueBlindMass:
     def test_hand_case(self):
         dist = uniform_distribution(4)
-        table = CountTable(
-            counts={state_key(0): 3, state_key(1): 1}, n=4, schema=("state",)
-        )
+        table = CountTable(counts={state_key(0): 3, state_key(1): 1}, schema=("state",))
         assert true_blind_mass(dist, table, 1) == pytest.approx(0.5)  # s2, s3 unseen
         assert true_blind_mass(dist, table, 2) == pytest.approx(0.75)  # s1 joins
         assert true_blind_mass(dist, table, 4) == pytest.approx(1.0)
@@ -238,7 +247,7 @@ class TestTrueBlindMass:
 
     def test_foreign_state_rejected(self):
         dist = uniform_distribution(3)
-        table = CountTable(counts={state_key(7): 2}, n=2, schema=("state",))
+        table = CountTable(counts={state_key(7): 2}, schema=("state",))
         with pytest.raises(InputError):
             true_blind_mass(dist, table, 1)
 
@@ -269,7 +278,7 @@ def _reference_sweep(cells, trials, master_seed) -> SweepResult:
             mean = math.fsum(values) / trials
             error = math.fsum(abs(e - t) for e, t in zip(values, truth)) / trials
             stats.append(ModeStats(mode, mean, std(values, mean), error))
-        out.append(CellStats(cell, trials, true_mean, std(truth, true_mean), tuple(stats)))
+        out.append(CellStats(cell, true_mean, std(truth, true_mean), tuple(stats)))
     return SweepResult(tuple(out), trials, master_seed)
 
 
@@ -284,7 +293,7 @@ class TestSweep:
         a = run_sweep(self.small_cells(), trials=5, master_seed=9)
         b = run_sweep(self.small_cells(), trials=5, master_seed=9)
         assert a == b
-        assert a.generator == GENERATOR_NAME == "PCG64"
+        assert json.loads(sweep_to_json(a))["generator"] == GENERATOR_NAME == "PCG64"
 
     def test_master_seed_changes_results(self):
         a = run_sweep(self.small_cells(), trials=5, master_seed=9)
@@ -307,7 +316,6 @@ class TestSweep:
         res = run_sweep(self.small_cells(), trials=4, master_seed=12)
         assert res.trials == 4 and res.master_seed == 12
         for cs in res.cells:
-            assert cs.trials == 4
             modes = [m.mode for m in cs.estimates]
             assert modes == ["plugin", "plugin+unseen", "generalized-gt"]
             for m in cs.estimates:
