@@ -262,15 +262,15 @@ def blindness_decomposition(
     weight: ``weights.weight(state)``, or 1.0 when ``weights`` is None.
     Entries are sorted by contribution (descending, ties by state values) and
     cut to the ``top_k`` largest.  ``total`` covers every blind state whatever
-    ``top_k`` is.  Unweighted, it is the plugin estimate of
-    ``freq_of_freqs(table)`` at tau, so it equals the plugin curve's value
-    there exactly; weighted, it is the ``math.fsum`` of the contributions.
+    ``top_k`` is.  Unweighted, it is the plugin curve's value at tau exactly;
+    weighted, it is the ``math.fsum`` of the contributions.
     """
     tau = _check_tau(tau)
     if top_k is not None:
         top_k = _check_int(top_k, "top_k", 1)
     n = table.n
     entries = []
+    blind_observations = 0
     for key, c in table.counts.items():
         if c < tau:
             p = c / n
@@ -280,8 +280,10 @@ def blindness_decomposition(
                 w = weights.weight(key)
                 contribution = p * w
             entries.append(DecompositionEntry(key, c, p, w, contribution))
+            blind_observations += c
     if weights is None:
-        total = _mass(freq_of_freqs(table), tau, MODE_PLUGIN)
+        # same integer numerator and division as the plugin curve: totals match exactly
+        total = blind_observations / n
     else:
         total = math.fsum(e.contribution for e in entries)
     # two stable sorts: by state, then by contribution, descending, keeping

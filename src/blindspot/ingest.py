@@ -21,7 +21,6 @@ physical line on which the record ends (``<path>: line <n>: <message>``).
 
 from __future__ import annotations
 
-import codecs
 import csv
 import gzip
 import logging
@@ -135,14 +134,11 @@ def _naming_path(path):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _opener(path):
-    return gzip.open if str(path).endswith(".gz") else open
-
-
 @contextmanager
 def _open_text(path):
     # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not text
-    with _naming_path(path), _opener(path)(path, "rt", encoding="utf-8-sig", newline="") as fh:
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with _naming_path(path), opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
         yield fh
 
 
@@ -582,18 +578,6 @@ def _scan_raw_file(path) -> None:
                     raise InputError(f"non-numeric value {tok!r}") from None
 
 
-def _load_raw(path) -> np.ndarray:
-    """``np.loadtxt`` of one recording.  numpy reads a path faster than a
-    Python text handle, so only a file that starts with a byte-order mark is
-    read through ``_open_text``, which skips the mark."""
-    with _opener(path)(path, "rb") as fh:
-        marked = fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
-    if not marked:
-        return np.loadtxt(path, dtype=float, ndmin=2)
-    with _open_text(path) as fh:
-        return np.loadtxt(fh, dtype=float, ndmin=2)
-
-
 def _parse_raw_file(path, base: int, summary: IngestionSummary) -> np.ndarray:
     """One recording's kept rows as a (rows, 8) float block, maybe empty:
     timestamp, activity id, then the 16g acc xyz and gyro xyz of the IMU at
@@ -601,7 +585,9 @@ def _parse_raw_file(path, base: int, summary: IngestionSummary) -> np.ndarray:
     try:
         with _naming_path(path), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty files warn; they parse to no rows
-            data = _load_raw(path)
+            # numpy opens the path itself (faster than reading a Python
+            # handle); utf-8-sig skips a leading byte-order mark
+            data = np.loadtxt(path, dtype=float, ndmin=2, encoding="utf-8-sig")
         if data.size and data.shape[1] != _RAW_COLUMNS:
             raise ValueError(f"expected {_RAW_COLUMNS} columns, found {data.shape[1]}")
     except InputError:
