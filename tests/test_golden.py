@@ -58,6 +58,7 @@ CASES = {
     "wilson-confidence": ["wilson", "--input", "{inputs}/wilson.csv", "--confidence", "0.8",
                           "--out", "{out}/wilson.csv"],
     "simulate-spec": ["simulate", "--spec", "{data}/sweep_small.txt", "--json", "{out}/sweep.json"],
+    "simulate-families": ["simulate", "--spec", "{inputs}/families.txt", "--json", "{out}/sweep.json"],
     "simulate-overrides": ["simulate", "--spec", "{data}/sweep_small.txt", "--trials", "3",
                            "--seed", "5", "--out", "{out}/sweep.csv", "--json", "{out}/sweep.json"],
     "report-act": ["report", "--counts", ACT, "--tau-max", "130", *ALL_MODES,
@@ -75,6 +76,9 @@ CASES = {
     "ingest-pamap2": ["ingest", "--pamap2", "{inputs}/subject101.dat", "--subjects", "101",
                       "--preset", "activity-tilt-energy", "--window-s", "0.5", "--stride-s", "0.25",
                       "--out", "{out}/samples.csv", "--save-config", "{out}/abstraction.txt"],
+    "ingest-pamap2-config": ["ingest", "--pamap2", "{inputs}/subject101.dat", "--subjects", "101",
+                             "--config", "{inputs}/config.txt", "--window-s", "0.5", "--stride-s", "0.25",
+                             "--save-config", "{out}/abstraction.txt"],
 }
 
 
