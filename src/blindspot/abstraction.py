@@ -340,7 +340,7 @@ class AbstractionConfig:
             if len(edges) != bins + 1:
                 raise InputError(f"{name} must have {bins + 1} values, got {len(edges)}")
             for a, b in zip(edges, edges[1:]):
-                if b < a:
+                if not a <= b:  # a NaN edge fails too
                     raise InputError(f"{name} must be nondecreasing")
             object.__setattr__(self, name, edges)
 
@@ -391,34 +391,34 @@ def preset(name: str) -> AbstractionConfig:
 def fit_edges(
     config: AbstractionConfig, windows: Sequence[SensorWindow], fit_fraction: float = 1.0
 ) -> AbstractionConfig:
-    """Fit the quantile edges that the enabled factors need.
+    """Fit the quantile edges that the enabled factors need and ``config``
+    lacks; edges it has, read back from a saved config say, are kept.
 
     Edges are fitted on the first ceil(fit_fraction * len(windows)) windows,
     so train-only fitting just needs the training prefix first.
     """
-    m = _fit_count(config, len(windows), fit_fraction)
-    if m is None:
-        return config
+    unfitted, m = _edges_to_fit(config, len(windows), fit_fraction)
     subset = windows[:m]
-    out = config
-    if FACTOR_ENERGY in config.factors:
-        out = replace(out, energy_edges=fit_energy_edges([gyro_energy(w) for w in subset], config.energy_bins))
-    if FACTOR_RATE in config.factors:
-        out = replace(out, rate_edges=fit_energy_edges([mean_angular_rate(w) for w in subset], config.rate_bins))
-    return out
+    if FACTOR_ENERGY in unfitted:
+        config = replace(config, energy_edges=fit_energy_edges([gyro_energy(w) for w in subset], config.energy_bins))
+    if FACTOR_RATE in unfitted:
+        config = replace(config, rate_edges=fit_energy_edges([mean_angular_rate(w) for w in subset], config.rate_bins))
+    return config
 
 
-def _fit_count(config: AbstractionConfig, windows: int, fit_fraction: float) -> Optional[int]:
-    """How many leading windows the edges are fitted on; None when the
-    config has no quantile factor."""
+def _edges_to_fit(config: AbstractionConfig, windows: int, fit_fraction: float) -> tuple[list[str], int]:
+    """The enabled quantile factors whose edges ``config`` lacks, and how
+    many leading windows they are fitted on (0 when there are none)."""
     fit_fraction = _check_float(fit_fraction, "fit_fraction")
     if not 0.0 < fit_fraction <= 1.0:
         raise InputError(f"fit_fraction must lie in (0, 1], got {fit_fraction}")
-    if FACTOR_ENERGY not in config.factors and FACTOR_RATE not in config.factors:
-        return None
+    unfitted = [f for f, edges in ((FACTOR_ENERGY, config.energy_edges), (FACTOR_RATE, config.rate_edges))
+                if f in config.factors and edges is None]
+    if not unfitted:
+        return unfitted, 0
     if not windows:
         raise InputError("cannot fit quantile edges without windows")
-    return max(1, math.ceil(fit_fraction * windows))
+    return unfitted, max(1, math.ceil(fit_fraction * windows))
 
 
 def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey:
@@ -492,19 +492,19 @@ def abstract_stream(
     """``make_windows``, ``fit_edges`` and ``abstract_window`` in one pass.
 
     Returns the fitted config and one state per window, equal to what the
-    three functions give.  Windows stay index ranges into the stream: each
-    feature is computed once per window by a strided reduction, and windows
-    in the same state share one key object.
+    three functions give, saved edges kept.  Windows stay index ranges into
+    the stream: each feature is computed once per window by a strided
+    reduction, and windows in the same state share one key object.
     """
     length, hop = _window_shape(stream, window_s, stride_s)
     starts = _window_starts(stream, length, hop)
     if not starts.size:
         raise InputError("no label-pure windows could be formed from the stream")
-    m = _fit_count(config, starts.size, fit_fraction)
+    unfitted, m = _edges_to_fit(config, starts.size, fit_fraction)
     features = _window_features(stream, length, hop, starts, config.factors)
-    if FACTOR_ENERGY in config.factors:
+    if FACTOR_ENERGY in unfitted:
         config = replace(config, energy_edges=fit_energy_edges(features[FACTOR_ENERGY][:m], config.energy_bins))
-    if FACTOR_RATE in config.factors:
+    if FACTOR_RATE in unfitted:
         config = replace(config, rate_edges=fit_energy_edges(features[FACTOR_RATE][:m], config.rate_bins))
     labels = [_plain(label) for label in stream.labels[starts].tolist()]
     # KeyIndex finds a row without a check only when it is made of strings

@@ -232,10 +232,9 @@ def _cmd_ingest(args) -> int:
             raise UsageError("--pamap2 needs --subjects")
         if args.config is not None and args.preset is not None:
             raise UsageError("--preset and --config cannot be combined")
+        config = _resolve_config(args)  # a bad config fails before any recording is read
         stream, summary = ingest_pamap2(args.pamap2, args.subjects, args.placement)
-        config, samples = abstract_stream(
-            stream, _resolve_config(args), args.window_s, args.stride_s, args.fit_fraction
-        )
+        config, samples = abstract_stream(stream, config, args.window_s, args.stride_s, args.fit_fraction)
         schema = config.factors
         summary.emitted = len(samples)
         if args.save_config is not None:

@@ -382,7 +382,10 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
 # key=value config files
 
 
-def read_kv_file(path) -> dict[str, str]:
+def read_kv_file(path, keys: Sequence[str]) -> dict[str, str]:
+    """The ``key = value`` lines of a file whose format allows ``keys``.
+    Blank lines and ``#`` lines are skipped; a malformed line, an unknown key
+    or a duplicate key is an error at its line."""
     out: dict[str, str] = {}
     with _open_text(path) as fh, _at_line(path, lambda: lineno):
         for lineno, line in enumerate(fh, 1):
@@ -393,6 +396,8 @@ def read_kv_file(path) -> dict[str, str]:
             key = key.strip()
             if not sep or not key:
                 raise InputError(f"expected 'key = value', got {stripped!r}")
+            if key not in keys:
+                raise InputError(f"unknown key {key!r}; expected {list(keys)}")
             if key in out:
                 raise InputError(f"duplicate key {key!r}")
             out[key] = value.strip()
@@ -407,10 +412,9 @@ _CONFIG_KEYS = tuple(f.name for f in fields(AbstractionConfig))
 
 
 def read_abstraction_config(path) -> AbstractionConfig:
-    kv = read_kv_file(path)
-    unknown = sorted(set(kv) - set(_CONFIG_KEYS))
-    if unknown:
-        raise InputError(f"{path}: unknown config keys {unknown}; expected {list(_CONFIG_KEYS)}")
+    """The ``AbstractionConfig`` a config file describes; keys it leaves out
+    take their defaults.  Every error names the file."""
+    kv = read_kv_file(path, _CONFIG_KEYS)
     kwargs: dict = {}
     try:
         if "factors" in kv:
@@ -423,9 +427,9 @@ def read_abstraction_config(path) -> AbstractionConfig:
                 kwargs[name] = tuple(float(v) for v in _split_list(kv[name]))
         if "refinement_tag" in kv:
             kwargs["refinement_tag"] = kv["refinement_tag"]
-    except ValueError as exc:
+        return AbstractionConfig(**kwargs)
+    except ValueError as exc:  # InputError is a ValueError
         raise InputError(f"{path}: {exc}") from None
-    return AbstractionConfig(**kwargs)
 
 
 def write_abstraction_config(path, config: AbstractionConfig) -> None:

@@ -86,7 +86,8 @@ class SyntheticDistribution:
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
-    total = math.fsum(weights.tolist())
+    # ravel: a weight array of any shape reaches SyntheticDistribution's shape rule
+    total = math.fsum(weights.ravel().tolist())
     if not (total > 0 and math.isfinite(total)):
         raise InputError("weights must have a positive finite sum")
     return weights / total
@@ -119,30 +120,25 @@ def uniform_distribution(size) -> SyntheticDistribution:
 
 
 def custom_distribution(probs) -> SyntheticDistribution:
-    w = np.asarray(probs, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise InputError("custom probabilities must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InputError("custom probabilities must be finite and >= 0")
-    return SyntheticDistribution("custom", (), _normalized(w))
+    return SyntheticDistribution("custom", (), _normalized(np.asarray(probs, dtype=float)))
 
 
-_FAMILY_PARAMS = {"zipf": ("s",), "geometric": ("ratio",), "uniform": ()}
+# family -> (constructor, (parameter name, sweep spec key) or None)
+_FAMILIES = {
+    "zipf": (zipf_distribution, ("s", "zipf_s")),
+    "geometric": (geometric_distribution, ("ratio", "geom_ratio")),
+    "uniform": (uniform_distribution, None),
+}
 
 
 def family_distribution(family: str, size, params: Mapping[str, float]) -> SyntheticDistribution:
-    if family not in _FAMILY_PARAMS:
-        raise InputError(f"unknown family {family!r}; choose from {sorted(_FAMILY_PARAMS)}")
-    expected = _FAMILY_PARAMS[family]
-    if tuple(sorted(params)) != tuple(sorted(expected)):
-        raise InputError(
-            f"family {family!r} takes parameters {list(expected)}, got {sorted(params)}"
-        )
-    if family == "zipf":
-        return zipf_distribution(size, params["s"])
-    if family == "geometric":
-        return geometric_distribution(size, params["ratio"])
-    return uniform_distribution(size)
+    if family not in _FAMILIES:
+        raise InputError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
+    make, param = _FAMILIES[family]
+    expected = [param[0]] if param else []
+    if sorted(params) != expected:
+        raise InputError(f"family {family!r} takes parameters {expected}, got {sorted(params)}")
+    return make(size, *params.values())
 
 
 def state_key(index) -> StateKey:
@@ -247,6 +243,9 @@ def _freqs_from_counts(counts: np.ndarray) -> FreqOfFreqs:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One grid point of a sweep, checked by building its family's
+    one-state distribution: a bad cell fails where it is made."""
+
     family: str
     params: tuple[tuple[str, float], ...]
     size: int
@@ -254,73 +253,70 @@ class SweepCell:
     tau: int
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
-            raise InputError(f"unknown family {self.family!r}")
+        family_distribution(self.family, 1, dict(self.params))
         object.__setattr__(self, "params", tuple((str(k), float(v)) for k, v in self.params))
         for name in ("size", "n", "tau"):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
+
+
+_SPEC_KEYS = ("family", *(param[1] for _, param in _FAMILIES.values() if param),
+              "K", "n", "tau", "trials", "seed")
 
 
 def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
     """Grid spec: cross product of family/params x K x n x tau.
 
     Returns (cells, trials, seed); trials and seed are None when the file does
-    not set them.
+    not set them.  Each cell is checked as it is built, so every error comes
+    before any trial runs, and names the file.
     """
-    kv = read_kv_file(path)
-    known = {"family", "zipf_s", "geom_ratio", "K", "n", "tau", "trials", "seed"}
-    unknown = sorted(set(kv) - known)
-    if unknown:
-        raise InputError(f"{path}: unknown sweep keys {unknown}; expected {sorted(known)}")
-    for required in ("family", "K", "n", "tau"):
-        if required not in kv:
-            raise InputError(f"{path}: sweep spec is missing required key {required!r}")
+    kv = read_kv_file(path, _SPEC_KEYS)
 
     def listed(key: str, parse, noun: str) -> list:
+        if key not in kv:
+            raise InputError(f"sweep spec is missing required key {key!r}")
         try:
             vals = [parse(v) for v in _split_list(kv[key])]
         except ValueError:
-            raise InputError(f"{path}: {key} must be a comma-separated list of {noun}") from None
+            raise InputError(f"{key} must be a comma-separated list of {noun}") from None
         if not vals:
-            raise InputError(f"{path}: {key} must name at least one value")
+            raise InputError(f"{key} must name at least one value")
         return vals
 
-    param_combos: list[tuple[str, tuple[tuple[str, float], ...]]] = []
-    for family in listed("family", str, "names"):
-        if family == "zipf":
-            if "zipf_s" not in kv:
-                raise InputError(f"{path}: family zipf needs zipf_s")
-            param_combos.extend(("zipf", (("s", s),)) for s in listed("zipf_s", float, "numbers"))
-        elif family == "geometric":
-            if "geom_ratio" not in kv:
-                raise InputError(f"{path}: family geometric needs geom_ratio")
-            param_combos.extend(("geometric", (("ratio", r),)) for r in listed("geom_ratio", float, "numbers"))
-        elif family == "uniform":
-            param_combos.append(("uniform", ()))
-        else:
-            raise InputError(f"{path}: unknown family {family!r}")
-
-    sizes, ns, taus = (listed(key, int, "integers") for key in ("K", "n", "tau"))
-    cells = [
-        SweepCell(family=family, params=params, size=size, n=n, tau=tau)
-        for family, params in param_combos
-        for size in sizes
-        for n in ns
-        for tau in taus
-    ]
     def single(key: str, least: int):
         if key not in kv:
             return None
         try:
             value = int(kv[key])
         except ValueError:
-            raise InputError(f"{path}: {key} must be an integer, got {kv[key]!r}") from None
-        if value < least:
-            raise InputError(f"{path}: {key} must be >= {least}, got {value}")
-        return value
+            raise InputError(f"{key} must be an integer, got {kv[key]!r}") from None
+        return _check_int(value, key, least)
 
-    return cells, single("trials", 1), single("seed", 0)
-
+    try:
+        families = listed("family", str, "names")
+        combos: list[tuple[str, tuple[tuple[str, float], ...]]] = []
+        for family in families:
+            param = _FAMILIES.get(family, (None, None))[1]
+            if param is None:  # SweepCell reports an unknown family
+                combos.append((family, ()))
+            elif param[1] not in kv:
+                raise InputError(f"family {family} needs {param[1]}")
+            else:
+                combos.extend((family, ((param[0], v),)) for v in listed(param[1], float, "numbers"))
+        sizes, ns, taus = (listed(key, int, "integers") for key in ("K", "n", "tau"))
+        cells = [
+            SweepCell(family=family, params=params, size=size, n=n, tau=tau)
+            for family, params in combos
+            for size in sizes
+            for n in ns
+            for tau in taus
+        ]
+        for family, (_, param) in _FAMILIES.items():
+            if param and param[1] in kv and family not in families:
+                raise InputError(f"{param[1]} needs family {family}")
+        return cells, single("trials", 1), single("seed", 0)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Window slicing, featurization, and state assignment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -435,6 +436,30 @@ class TestAbstractStream:
                 assert getattr(config, edges) is None
             else:
                 assert getattr(config, edges) == pytest.approx(getattr(expected_config, edges), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=labeled_streams(),
+        length=st.integers(1, 25),
+        fit_fraction=st.sampled_from([0.05, 0.3, 1.0]),
+        keep_rate=st.booleans(),
+    )
+    def test_saved_edges_are_kept(self, stream, length, fit_fraction, keep_rate):
+        window_s = stride_s = length / 10.0
+        windows = make_windows(stream, window_s, stride_s)
+        if not windows:
+            return
+        saved = fit_edges(preset("deployment-refined"), windows)
+        if not keep_rate:
+            saved = replace(saved, rate_edges=None)
+        expected_config = fit_edges(saved, windows, fit_fraction)
+        assert expected_config.energy_edges == saved.energy_edges
+        if keep_rate:
+            assert expected_config == saved
+        config, states = abstract_stream(stream, saved, window_s, stride_s, fit_fraction)
+        assert config.energy_edges == saved.energy_edges
+        assert config.rate_edges == pytest.approx(expected_config.rate_edges, rel=1e-12)
+        assert states == [abstract_window(w, expected_config) for w in windows]
 
     def test_equal_states_share_one_key(self):
         a = constant_stream(1000, label=1)

@@ -333,11 +333,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"blindspot: error: {message}\n"
 
-    @pytest.mark.parametrize("line, message", [("trials = 0", "trials must be >= 1, got 0"),
-                                               ("seed = -3", "seed must be >= 0, got -3")])
+    @pytest.mark.parametrize("line, message", [
+        ("trials = 0", "trials must be >= 1, got 0"),
+        ("seed = -3", "seed must be >= 0, got -3"),
+        ("K = 0", "size must be >= 1, got 0"),
+        ("n = 0", "n must be >= 1, got 0"),
+        ("tau = 0", "tau must be >= 1, got 0"),
+        ("family = zipf; zipf_s = -1", "zipf exponent must be >= 0, got -1.0"),
+        ("family = geometric; geom_ratio = 1.5", "geometric ratio must lie in (0, 1), got 1.5"),
+    ])
     def test_spec_range_errors_name_the_file(self, capsys, tmp_path, line, message):
+        # ``line`` holds "; "-separated settings that replace or extend a good spec's
+        settings = {"family": "uniform", "K": "3", "n": "4", "tau": "1"}
+        settings.update(setting.split(" = ") for setting in line.split("; "))
         spec = tmp_path / "spec.txt"
-        spec.write_text(f"family = uniform\nK = 3\nn = 4\ntau = 1\n{line}\n")
+        spec.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
         # the flags would override both values, but the spec itself is bad
         assert main(["simulate", "--spec", str(spec), "--trials", "2", "--seed", "1"]) == 2
         captured = capsys.readouterr()
@@ -869,6 +879,29 @@ class TestReportSamples:
 
 
 class TestIngest:
+    def test_a_bad_config_is_reported_before_any_recording_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("factors = activity\ntilt_bins = 0\n")
+        code = main(["ingest", "--pamap2", str(tmp_path / "subject101.dat"), "--subjects", "101",
+                     "--config", str(cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {cfg}: tilt_bins must be >= 1, got 0\n"
+
+    def test_a_saved_config_reingests_to_the_same_samples(self, capsys, tmp_path):
+        # the saved quantile edges are reused, not refitted on a new fraction
+        source = ["ingest", "--pamap2", PAMAP2, "--subjects", "101",
+                  "--window-s", "0.5", "--stride-s", "0.25"]
+        paths = [(tmp_path / f"samples{i}.csv", tmp_path / f"config{i}.txt") for i in range(2)]
+        assert main([*source, "--preset", "activity-tilt-energy",
+                     "--out", str(paths[0][0]), "--save-config", str(paths[0][1])]) == 0
+        assert main([*source, "--config", str(paths[0][1]), "--fit-fraction", "0.3",
+                     "--out", str(paths[1][0]), "--save-config", str(paths[1][1])]) == 0
+        capsys.readouterr()
+        for first, again in zip(*paths):
+            assert again.read_bytes() == first.read_bytes()
+
     def test_samples_csv_to_stdout(self, capsys, tmp_path):
         src = tmp_path / "rows.csv"
         src.write_text("activity,surface\nwalk,grass\nrun,road\n")

@@ -291,19 +291,25 @@ class TestKvFile:
     def test_parsing(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# header comment\n\na = 1\nb=two words \n")
-        assert read_kv_file(path) == {"a": "1", "b": "two words"}
+        assert read_kv_file(path, ("a", "b")) == {"a": "1", "b": "two words"}
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("a = 1\na = 2\n")
         with raises_at(path, "line 2: duplicate key 'a'$"):
-            read_kv_file(path)
+            read_kv_file(path, ("a",))
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# comment\njust some text\n")
         with raises_at(path, "line 2: expected 'key = value', got 'just some text'$"):
-            read_kv_file(path)
+            read_kv_file(path, ("a",))
+
+    def test_unknown_key_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("a = 1\n# comment\nc = 3\nb = 2\n")
+        with raises_at(path, "line 3: unknown key 'c'; expected \\['a', 'b'\\]$"):
+            read_kv_file(path, ("a", "b"))
 
 
 # a bin count and either no edges or bins + 1 sorted finite edges, tiny and
@@ -386,6 +392,26 @@ class TestAbstractionConfigFile:
         with raises_at(path, "invalid literal for int"):
             read_abstraction_config(path)
 
+    def test_unknown_key_reported_at_its_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("factors = activity\nwibble = 3\n")
+        with raises_at(path, "line 2: unknown key 'wibble'; expected \\['factors', "):
+            read_abstraction_config(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("tilt_bins = 0", "tilt_bins must be >= 1, got 0"),
+        ("factors = activity, bogus", r"unknown factors \['bogus'\]"),
+        ("factors = activity, energy\nenergy_bins = 2\nenergy_edges = 3, 2, 1",
+         "energy_edges must be nondecreasing"),
+        ("factors = activity, energy\nenergy_bins = 2\nenergy_edges = 0, nan, 1",
+         "energy_edges must be nondecreasing"),
+    ], ids=["tilt_bins", "factors", "energy_edges", "nan energy_edges"])
+    def test_value_errors_name_the_file(self, tmp_path, body, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(body + "\n")
+        with raises_at(path, message):
+            read_abstraction_config(path)
+
 
 class TestSweepSpec:
     def test_cross_product_order(self, tmp_path):
@@ -429,6 +455,15 @@ class TestSweepSpec:
             ("family = uniform\nK = 5\nn = 10\ntau = 1\nbogus = 2\n", "bogus"),
             ("family = uniform\nK = 5\nK = 6\n", "line 3: duplicate key 'K'$"),
             ("family = uniform\n\ntrials 4\n", "line 3: expected 'key = value', got 'trials 4'$"),
+            ("family = uniform\nK = 5\nn = 10\ntau = 1\nbogus = 2\n", "line 5: unknown key 'bogus'; expected "),
+            ("family = uniform\nzipf_s = 1.0\ngeom_ratio = 0.5\nK = 5\nn = 10\ntau = 1\n",
+             "zipf_s needs family zipf$"),
+            ("family = zipf\nzipf_s = 1.0\ngeom_ratio = 0.5\nK = 5\nn = 10\ntau = 1\n",
+             "geom_ratio needs family geometric$"),
+            ("family = zipf\nzipf_s = 1.0, -1\nK = 5\nn = 10\ntau = 1\n",
+             r"zipf exponent must be >= 0, got -1.0$"),
+            ("family = geometric\ngeom_ratio = 0.5\nK = 5, 0\nn = 10\ntau = 1\n",
+             "size must be >= 1, got 0$"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, body, pattern):

@@ -108,6 +108,9 @@ class TestDistributions:
             custom_distribution([0.0, 0.0])
         with pytest.raises(InputError):
             custom_distribution([])
+        for weights in ([[1.0]], 1.0):
+            with pytest.raises(InputError, match="^probabilities must be a non-empty 1-D vector$"):
+                custom_distribution(weights)
 
     def test_size_is_the_length_of_probs(self):
         assert SyntheticDistribution("custom", (), [0.25, 0.75]).size == 2
@@ -392,3 +395,8 @@ class TestSweep:
             SweepCell(family="zipf", params=(("s", 1.0),), size=0, n=10, tau=1)
         with pytest.raises(InputError):
             SweepCell(family="what", params=(), size=5, n=10, tau=1)
+        # a cell's family parameters are checked when it is made, not when a sweep reaches it
+        with pytest.raises(InputError, match="^zipf exponent must be >= 0, got -1.0$"):
+            SweepCell("zipf", (("s", -1),), 10, 10, 1)
+        with pytest.raises(InputError, match=r"^family 'zipf' takes parameters \['s'\], got \[\]$"):
+            SweepCell("zipf", (), 10, 10, 1)
