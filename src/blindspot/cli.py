@@ -323,7 +323,10 @@ def _cmd_simulate(args) -> int:
     cells, spec_trials, spec_seed = read_sweep_spec(args.spec)
     trials = args.trials if args.trials is not None else (spec_trials if spec_trials is not None else 100)
     seed = args.seed if args.seed is not None else (spec_seed if spec_seed is not None else 0)
-    result = run_sweep(cells, trials, seed)
+    try:
+        result = run_sweep(cells, trials, seed)
+    except InputError as exc:  # a cell too large for memory
+        raise InputError(f"{args.spec}: {exc}") from None
     with _out_stream(args.out) as fh:
         write_csv(fh, sweep_table(result))
     if args.json is not None:

@@ -5,13 +5,11 @@ A state is one categorical value per factor of a fixed schema: a
 it, and a tuple of values; ``KeyIndex`` is the one place that makes keys
 from rows, so equal states share one key.  Tables keep exact integer counts
 and store only observed states, so the frequency-of-frequencies identities
-hold without floating-point slack; probabilities appear only in derived
-empirical distributions.
+hold without floating-point slack.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left
 from collections import Counter
@@ -19,27 +17,17 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, _check_float, _check_int
+from .errors import InputError, _check_int
 
 __all__ = [
     "StateKey",
     "KeyIndex",
     "CountTable",
     "FreqOfFreqs",
-    "EmpiricalDistribution",
-    "PLUG_IN",
-    "KNOWN_TRUTH",
     "build_count_table",
     "freq_of_freqs",
-    "plug_in_distribution",
     "coarsen",
 ]
-
-PLUG_IN = "plug-in"
-KNOWN_TRUTH = "known-truth"
-
-# probability vectors must sum to 1 within this slack
-PROB_SUM_TOL = 1e-9
 
 # reserved by the name=value|name=value serialization
 _FORBIDDEN_CHARS = ("=", "|", "\t", "\n", "\r")
@@ -284,39 +272,6 @@ class FreqOfFreqs:
         return self._below[bisect_left(self._rs, t)]
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Probability per state.
-
-    ``source`` records how the distribution arose: "plug-in" (relative counts
-    from a table) or "known-truth" (synthetic ground truth).  States outside
-    ``probs`` have probability 0.
-    """
-
-    probs: Mapping["StateKey", float]
-    source: str
-
-    def __post_init__(self):
-        if self.source not in (PLUG_IN, KNOWN_TRUTH):
-            raise InputError(f"source must be {PLUG_IN!r} or {KNOWN_TRUTH!r}, got {self.source!r}")
-        snapshot: dict[StateKey, float] = {}
-        for key, p in self.probs.items():
-            if not isinstance(key, StateKey):
-                raise InputError("distribution keys must be StateKey")
-            p = _check_float(p, "probability")
-            if not (0.0 <= p <= 1.0):
-                raise InputError(f"probability out of [0,1] for {key.serialize()!r}: {p}")
-            snapshot[key] = p
-        if abs(math.fsum(snapshot.values()) - 1.0) > PROB_SUM_TOL:
-            raise InputError(
-                f"probabilities sum to {math.fsum(snapshot.values())!r}, expected 1 within {PROB_SUM_TOL}"
-            )
-        object.__setattr__(self, "probs", MappingProxyType(snapshot))
-
-    def prob(self, key: "StateKey") -> float:
-        return self.probs.get(key, 0.0)
-
-
 def build_count_table(samples: Iterable["StateKey"], schema: Sequence[str]) -> CountTable:
     """Count a sequence of state observations.
 
@@ -369,14 +324,6 @@ def _raise_sample_mismatch(i: int, key: StateKey, schema: tuple[str, ...]):
 def freq_of_freqs(table: CountTable) -> FreqOfFreqs:
     """Tabulate f_r = number of states observed exactly r times."""
     return FreqOfFreqs(f=Counter(table.counts.values()))
-
-
-def plug_in_distribution(table: CountTable) -> EmpiricalDistribution:
-    """Relative frequencies count/n over the observed states."""
-    n = table.n
-    return EmpiricalDistribution(
-        probs={key: c / n for key, c in table.counts.items()}, source=PLUG_IN
-    )
 
 
 def coarsen(table: CountTable, projection: Sequence[str]) -> CountTable:

@@ -35,14 +35,7 @@ from operator import attrgetter
 from statistics import NormalDist
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .counts import (
-    KNOWN_TRUTH,
-    CountTable,
-    EmpiricalDistribution,
-    FreqOfFreqs,
-    StateKey,
-    freq_of_freqs,
-)
+from .counts import CountTable, FreqOfFreqs, StateKey, freq_of_freqs
 from .errors import InputError, _check_float, _check_int
 
 __all__ = [
@@ -57,7 +50,6 @@ __all__ = [
     "BlindnessDecomposition",
     "CeilingCurve",
     "MixtureDecomposition",
-    "blind_spot_mass",
     "blind_spot_curve",
     "curve_from_freqs",
     "mass_estimate",
@@ -141,23 +133,6 @@ class BlindSpotCurve:
             if t == tau:
                 return m
         raise InputError(f"curve has no point at tau={tau}")
-
-
-def blind_spot_mass(table: CountTable, dist: EmpiricalDistribution, tau) -> float:
-    """Mass of ``dist`` sitting on states whose table count is below tau.
-
-    With a plug-in distribution this is the plugin estimate; with a
-    known-truth distribution it is the exact blind mass (the distribution's
-    support must cover every observed state).
-    """
-    tau = _check_tau(tau)
-    if dist.source == KNOWN_TRUTH:
-        for key in table.counts:
-            if key not in dist.probs:
-                raise InputError(
-                    f"known-truth distribution lacks observed state {key.serialize()!r}"
-                )
-    return math.fsum(p for key, p in dist.probs.items() if table.count(key) < tau)
 
 
 def _mass(fof: FreqOfFreqs, tau: int, mode: str) -> float:

@@ -142,6 +142,23 @@ def _open_text(path):
         yield fh
 
 
+class _DictReader(csv.DictReader):
+    """``csv.DictReader`` that refuses a row whose field count is not the
+    header's, where the base class pads a short row with None and files a
+    long row's extra fields under the key None.  Blank lines are skipped,
+    and ``line_num`` is the line on which the returned row ends."""
+
+    def __next__(self) -> dict[str, str]:
+        names = self.fieldnames  # reads the header on first use
+        row = next(self.reader)
+        while not row:
+            row = next(self.reader)
+        self.line_num = self.reader.line_num
+        if len(row) != len(names):
+            raise InputError(f"expected {len(names)} fields, found {len(row)}")
+        return dict(zip(names, row))
+
+
 @contextmanager
 def _at_line(path, line):
     """Re-raise an ``InputError`` from a reader's record loop with the file
@@ -357,7 +374,7 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
     which the row ends; ranges are the caller's."""
     rows = []
     with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = _DictReader(fh)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty file (missing header)")
         lowered = {name.lower().strip(): name for name in reader.fieldnames}
@@ -368,10 +385,10 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
             )
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
-                label = (row[lowered["class"]] or "").strip()
+                label = row[lowered["class"]].strip()
                 try:
-                    s = int((row[lowered["successes"]] or "").strip())
-                    t = int((row[lowered["trials"]] or "").strip())
+                    s = int(row[lowered["successes"]].strip())
+                    t = int(row[lowered["trials"]].strip())
                 except ValueError:
                     raise InputError("successes and trials must be integers") from None
                 rows.append((reader.line_num, label, s, t))
@@ -466,7 +483,7 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
     summary = IngestionSummary(unit="rows", sources=(str(path),))
     samples: list[StateKey] = []
     with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = _DictReader(fh)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty file (missing header)")
         missing = [c for c in key_columns if c not in reader.fieldnames]
@@ -476,7 +493,7 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
                 summary.rows_read += 1
-                values = tuple([(row[c] or "").strip() for c in key_columns])
+                values = tuple([row[c].strip() for c in key_columns])
                 if "" in values:
                     summary.drop(DROP_MISSING_LABEL)
                     continue
@@ -512,7 +529,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
     admissions: dict[str, list[tuple[int, str]]] = {}
     row_count = 0
     with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = _DictReader(fh)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty file (missing header)")
         adm_col = _resolve_column(reader.fieldnames, ("hadm_id", "admission_id"), path)
@@ -521,15 +538,15 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
         with _at_line(path, lambda: reader.line_num):
             for row in reader:
                 row_count += 1
-                adm = (row[adm_col] or "").strip()
+                adm = row[adm_col].strip()
                 if not adm:
                     raise InputError("empty admission id")
-                raw_seq = (row[seq_col] or "").strip()
+                raw_seq = row[seq_col].strip()
                 try:
                     seq = int(raw_seq)
                 except ValueError:
                     raise InputError(f"sequence number {raw_seq!r} is not an integer") from None
-                code = (row[code_col] or "").strip()
+                code = row[code_col].strip()
                 admissions.setdefault(adm, []).append((seq, code))
     summary.note("diagnosis-rows", row_count)
     samples: list[StateKey] = []

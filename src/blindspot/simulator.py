@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counts import KNOWN_TRUTH, CountTable, EmpiricalDistribution, FreqOfFreqs, StateKey
+from .counts import CountTable, FreqOfFreqs, StateKey
 from .errors import InputError, InvariantViolation, _check_float, _check_int
 from .estimators import ESTIMATOR_MODES, _check_tau, mass_estimate
 from .ingest import _split_list, read_kv_file
@@ -37,7 +37,6 @@ __all__ = [
     "family_distribution",
     "state_key",
     "state_index",
-    "known_truth",
     "sample",
     "true_blind_mass",
     "SweepCell",
@@ -160,14 +159,6 @@ def state_index(dist: SyntheticDistribution, key: StateKey) -> int:
     return i
 
 
-def known_truth(dist: SyntheticDistribution) -> EmpiricalDistribution:
-    """The same distribution keyed by StateKey, for the estimator-facing API."""
-    return EmpiricalDistribution(
-        probs={state_key(i): float(p) for i, p in enumerate(dist.probs)},
-        source=KNOWN_TRUTH,
-    )
-
-
 def _states_of(dist: SyntheticDistribution, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(dist._cum, u, side="right")
     return np.minimum(idx, dist.size - 1, out=idx)
@@ -281,6 +272,9 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
             raise InputError(f"{key} must be a comma-separated list of {noun}") from None
         if not vals:
             raise InputError(f"{key} must name at least one value")
+        for v in vals:
+            if vals.count(v) > 1:
+                raise InputError(f"{key} lists {v} more than once")
         return vals
 
     def single(key: str, least: int):

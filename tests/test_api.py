@@ -2,8 +2,10 @@
 list, and every integer argument follows one rule, every float argument
 another."""
 
+import ast
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +18,6 @@ from blindspot import (
     AbstractionConfig,
     AdmissionRecord,
     CeilingCurve,
-    EmpiricalDistribution,
     FreqOfFreqs,
     InputError,
     LabeledStream,
@@ -47,7 +48,8 @@ from blindspot.simulator import state_key
 from conftest import DATA_DIR, key, table_of
 
 MODULES = ("abstraction", "counts", "errors", "estimators", "ingest", "report", "simulator")
-SRC_DIR = DATA_DIR.parent.parent / "src"
+REPO_DIR = DATA_DIR.parent.parent
+SRC_DIR = REPO_DIR / "src"
 
 
 def _module(name):
@@ -75,6 +77,31 @@ def test_import_leaves_the_cli_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def _bench_wrapped(module: str) -> set[str]:
+    """The names ``bench/spans.py``'s ``TARGETS`` replaces on ``module``:
+    imports that module keeps so the bench can wrap them."""
+    targets = runpy.run_path(str(REPO_DIR / "bench" / "spans.py"))["TARGETS"]
+    return {name for _, name, _ in targets.get(module, ())}
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted((SRC_DIR / "blindspot").glob("*.py")), ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    wrapped = _bench_wrapped(path.stem)
+    assert [name for name in _imported_names(tree) if name not in used | wrapped] == []
 
 
 # one call per integer argument: (id, call taking the argument, the name its
@@ -162,7 +189,6 @@ _CURVE = blind_spot_curve(_TABLE, 2)
 FLOAT_ARGUMENTS = [
     ("risk weight", lambda x: RiskWeights({key(s="a"): x}), "risk weight"),
     ("default risk weight", lambda x: RiskWeights({}, default_weight=x), "default risk weight"),
-    ("probability", lambda x: EmpiricalDistribution({key(s="a"): x}, "plug-in"), "probability"),
     ("confidence", lambda x: wilson_interval(1, 5, x), "confidence"),
     ("zipf exponent", lambda x: zipf_distribution(5, x), "zipf exponent"),
     ("geometric ratio", lambda x: geometric_distribution(5, x), "geometric ratio"),

@@ -188,6 +188,23 @@ class TestExitCodes:
         assert main(["decompose", "--counts", COUNTS, "--tau", "150", "--weights", str(bad)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["wilson", "--input"], "class,successes,trials\nA,5,10,7\n",
+         "line 2: expected 3 fields, found 4"),
+        (["ingest", "--key-columns", "activity", "--samples-csv"],
+         "activity,surface\nwalk,grass\n\nrun\n", "line 4: expected 2 fields, found 1"),
+        (["ingest", "--diagnoses"], "hadm_id,seq_num,icd_code\n1,1,41071\n2,1,0389,7\n",
+         "line 3: expected 3 fields, found 4"),
+    ], ids=["wilson", "samples-csv", "diagnoses"])
+    def test_a_ragged_row_exits_2(self, capsys, tmp_path, argv, text, message):
+        # the header fixes the width; a blank line is skipped, not ragged
+        bad = tmp_path / "rows.csv"
+        bad.write_text(text)
+        assert main([*argv, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {bad}: {message}\n"
+
     def test_wilson_missing_columns_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "acc.csv"
         bad.write_text("class,wins,games\nx,1,2\n")
@@ -331,7 +348,7 @@ class TestExitCodes:
         assert main(["simulate", "--spec", str(spec), "--trials", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"blindspot: error: {message}\n"
+        assert captured.err == f"blindspot: error: {spec}: {message}\n"
 
     @pytest.mark.parametrize("line, message", [
         ("trials = 0", "trials must be >= 1, got 0"),
@@ -341,6 +358,12 @@ class TestExitCodes:
         ("tau = 0", "tau must be >= 1, got 0"),
         ("family = zipf; zipf_s = -1", "zipf exponent must be >= 0, got -1.0"),
         ("family = geometric; geom_ratio = 1.5", "geometric ratio must lie in (0, 1), got 1.5"),
+        ("family = uniform, uniform; tau = 1, 1", "family lists uniform more than once"),
+        ("family = zipf; zipf_s = 1.0, 2, 1", "zipf_s lists 1.0 more than once"),
+        ("family = geometric; geom_ratio = 0.5, .5", "geom_ratio lists 0.5 more than once"),
+        ("K = 5, 05", "K lists 5 more than once"),
+        ("n = 4, 8, 4", "n lists 4 more than once"),
+        ("tau = 1, 1", "tau lists 1 more than once"),
     ])
     def test_spec_range_errors_name_the_file(self, capsys, tmp_path, line, message):
         # ``line`` holds "; "-separated settings that replace or extend a good spec's

@@ -1,6 +1,5 @@
 """State keys, count tables, and their exact-arithmetic invariants."""
 
-import math
 import random
 from collections import Counter
 
@@ -11,14 +10,13 @@ from hypothesis import strategies as st
 import blindspot.counts
 from blindspot import (
     CountTable,
-    EmpiricalDistribution,
     FreqOfFreqs,
     InputError,
     StateKey,
+    blindness_decomposition,
     build_count_table,
     coarsen,
     freq_of_freqs,
-    plug_in_distribution,
 )
 from blindspot.counts import KeyIndex
 from blindspot.ingest import read_counts_file
@@ -249,9 +247,9 @@ class TestCountTable:
         assert table.n == 1674
         assert table.k_observed == 12
         assert table.count(key(activity="Walking")) == 307
-        dist = plug_in_distribution(table)
-        assert round(dist.prob(key(activity="Walking")), 3) == 0.183
-        assert round(dist.prob(key(activity="Stairs up")), 3) == 0.080
+        prob = {e.state: e.prob for e in blindness_decomposition(table, table.n + 1).entries}
+        assert round(prob[key(activity="Walking")], 3) == 0.183
+        assert round(prob[key(activity="Stairs up")], 3) == 0.080
 
     def test_schema_mismatch_names_sample_and_factor(self):
         samples = [key(s="a"), key(t="b")]
@@ -383,32 +381,6 @@ class TestFreqOfFreqs:
     def test_inconsistent_totals_rejected(self):
         with pytest.raises(InputError):
             FreqOfFreqs(f={0: 1})
-
-
-class TestEmpiricalDistribution:
-    def test_plug_in_probs(self):
-        table = table_of({"a": 1, "b": 3})
-        dist = plug_in_distribution(table)
-        assert dist.prob(key(activity="a")) == 0.25
-        assert dist.prob(key(activity="b")) == 0.75
-        assert dist.prob(key(activity="zz")) == 0.0
-        assert math.isclose(math.fsum(dist.probs.values()), 1.0, abs_tol=1e-9)
-
-    def test_source_validated(self):
-        with pytest.raises(InputError):
-            EmpiricalDistribution(probs={key(s="a"): 1.0}, source="guess")
-
-    def test_probability_bounds(self):
-        with pytest.raises(InputError):
-            EmpiricalDistribution(probs={key(s="a"): 1.2}, source="plug-in")
-        with pytest.raises(InputError):
-            EmpiricalDistribution(probs={key(s="a"): -0.1, key(s="b"): 1.1}, source="plug-in")
-
-    def test_sum_must_be_one(self):
-        with pytest.raises(InputError):
-            EmpiricalDistribution(
-                probs={key(s="a"): 0.5, key(s="b"): 0.4}, source="plug-in"
-            )
 
 
 class TestCoarsen:

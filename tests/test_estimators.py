@@ -16,7 +16,6 @@ from blindspot import (
     RiskWeights,
     accuracy_ceiling,
     blind_spot_curve,
-    blind_spot_mass,
     blindness_decomposition,
     build_count_table,
     ceiling_curve,
@@ -27,10 +26,8 @@ from blindspot import (
     good_turing_unseen_mass,
     mass_estimate,
     mixture_decomposition,
-    plug_in_distribution,
     wilson_interval,
 )
-from blindspot.counts import KNOWN_TRUTH, EmpiricalDistribution
 from blindspot.estimators import (
     ESTIMATOR_MODES,
     EXTENSION_MODE_NOTES,
@@ -180,35 +177,6 @@ class TestCurves:
         assert MODE_PLUGIN_UNSEEN not in EXTENSION_MODE_NOTES
 
 
-class TestBlindSpotMass:
-    def test_plug_in_distribution_reproduces_plugin_mode(self):
-        rng = random.Random(302)
-        for _ in range(20):
-            table = random_single_table(rng)
-            dist = plug_in_distribution(table)
-            tau = rng.randint(1, 20)
-            direct = blind_spot_mass(table, dist, tau)
-            via_freqs = mass_estimate(freq_of_freqs(table), tau, MODE_PLUGIN)
-            assert direct == pytest.approx(via_freqs, abs=1e-12)
-
-    def test_known_truth_includes_unseen_states(self):
-        table = table_of({"a": 3, "b": 1})
-        truth = EmpiricalDistribution(
-            probs={key(activity="a"): 0.5, key(activity="b"): 0.25, key(activity="c"): 0.25},
-            source=KNOWN_TRUTH,
-        )
-        # tau=1: only the unseen state c is blind
-        assert blind_spot_mass(table, truth, 1) == pytest.approx(0.25)
-        # tau=2: b (count 1) joins
-        assert blind_spot_mass(table, truth, 2) == pytest.approx(0.5)
-
-    def test_known_truth_must_cover_observed_states(self):
-        table = table_of({"a": 1, "b": 1})
-        truth = EmpiricalDistribution(probs={key(activity="a"): 1.0}, source=KNOWN_TRUTH)
-        with pytest.raises(InputError):
-            blind_spot_mass(table, truth, 1)
-
-
 class TestCoarseningBound:
     def test_merging_states_cannot_raise_blind_mass(self):
         rng = random.Random(303)
@@ -224,15 +192,14 @@ class TestCoarseningBound:
 
 
 def reference_decomposition(table, tau, weights):
-    """Every blind entry and the total, from per-state terms p * w over
-    ``plug_in_distribution(table)``: entries sorted by (-contribution, values),
-    the weighted total an fsum of the terms, the unweighted one the integer
-    count of blind observations over n."""
-    probs = plug_in_distribution(table).probs
+    """Every blind entry and the total, from per-state terms p * w with
+    p = c / n: entries sorted by (-contribution, values), the weighted total
+    an fsum of the terms, the unweighted one the integer count of blind
+    observations over n."""
     entries = []
-    for state, p in probs.items():
-        c = table.count(state)
+    for state, c in table.counts.items():
         if c < tau:
+            p = c / table.n
             w = 1.0 if weights is None else weights.weight(state)
             entries.append(DecompositionEntry(state=state, count=c, prob=p, weight=w, contribution=p * w))
     entries.sort(key=lambda e: (-e.contribution, e.state.values))
