@@ -79,6 +79,15 @@ CASES = {
     "ingest-pamap2-config": ["ingest", "--pamap2", "{inputs}/subject101.dat", "--subjects", "101",
                              "--config", "{inputs}/config.txt", "--window-s", "0.5", "--stride-s", "0.25",
                              "--save-config", "{out}/abstraction.txt"],
+    "ingest-pamap2-overrides": ["ingest", "--pamap2", "{inputs}/subject101.dat", "--subjects", "101",
+                                "--preset", "deployment-refined", "--factors", "activity", "tilt", "energy",
+                                "--tilt-bins", "3", "--energy-bins", "2", "--rate-bins", "4",
+                                "--window-s", "0.5", "--stride-s", "0.25",
+                                "--out", "{out}/samples.csv", "--save-config", "{out}/abstraction.txt"],
+    "ingest-pamap2-config-rebin": ["ingest", "--pamap2", "{inputs}/subject101.dat", "--subjects", "101",
+                                   "--config", "{inputs}/config_edges.txt", "--rate-bins", "2",
+                                   "--window-s", "0.5", "--stride-s", "0.25",
+                                   "--save-config", "{out}/abstraction.txt"],
 }
 
 
