@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -243,6 +243,21 @@ def mean_angular_rate(window: SensorWindow) -> float:
     return float(np.mean(np.linalg.norm(window.gyro, axis=1)))
 
 
+class _Quantile(NamedTuple):
+    """A factor that bins a per-window gyro value against quantile edges."""
+
+    bins: str  # the AbstractionConfig field with the bin count
+    edges: str  # the AbstractionConfig field with the fitted edges
+    of_window: Callable[[SensorWindow], float]  # the reference per-window value
+    per_sample: Callable[[np.ndarray], np.ndarray]  # (L, 3) gyro -> (L,); its window mean is of_window
+
+
+_QUANTILE_FACTORS = {
+    FACTOR_ENERGY: _Quantile("energy_bins", "energy_edges", gyro_energy, lambda g: np.sum(g * g, axis=1)),
+    FACTOR_RATE: _Quantile("rate_bins", "rate_edges", mean_angular_rate, lambda g: np.linalg.norm(g, axis=1)),
+}
+
+
 def fit_energy_edges(values: Iterable[float], bins: int) -> tuple[float, ...]:
     """Quantile bin edges at levels j/bins for j = 0..bins.
 
@@ -287,7 +302,7 @@ def energy_bin(value: float, edges: Sequence[float]) -> int:
     if len(edges) < 2:
         raise InputError("edges must contain at least two values")
     for a, b in zip(edges, edges[1:]):
-        if b < a:
+        if not a <= b:  # a NaN edge fails too
             raise InputError("edges must be nondecreasing")
     value = float(value)
     q = len(edges) - 1
@@ -332,8 +347,8 @@ class AbstractionConfig:
         )
         for name in ("tilt_bins", "energy_bins", "rate_bins"):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
-        for name, bins in (("energy_edges", self.energy_bins), ("rate_edges", self.rate_bins)):
-            edges = getattr(self, name)
+        for q in _QUANTILE_FACTORS.values():
+            name, bins, edges = q.edges, getattr(self, q.bins), getattr(self, q.edges)
             if edges is None:
                 continue
             edges = tuple(float(e) for e in edges)
@@ -343,19 +358,6 @@ class AbstractionConfig:
                 if not a <= b:  # a NaN edge fails too
                     raise InputError(f"{name} must be nondecreasing")
             object.__setattr__(self, name, edges)
-
-    def to_mapping(self) -> dict:
-        """Plain ordered mapping used by config files and report metadata."""
-        out: dict = {
-            "factors": list(self.factors),
-            "tilt_bins": self.tilt_bins,
-            "energy_bins": self.energy_bins,
-            "rate_bins": self.rate_bins,
-            "refinement_tag": self.refinement_tag,
-        }
-        out["energy_edges"] = list(self.energy_edges) if self.energy_edges else None
-        out["rate_edges"] = list(self.rate_edges) if self.rate_edges else None
-        return out
 
 
 PRESETS = {
@@ -397,28 +399,26 @@ def fit_edges(
     Edges are fitted on the first ceil(fit_fraction * len(windows)) windows,
     so train-only fitting just needs the training prefix first.
     """
-    unfitted, m = _edges_to_fit(config, len(windows), fit_fraction)
-    subset = windows[:m]
-    if FACTOR_ENERGY in unfitted:
-        config = replace(config, energy_edges=fit_energy_edges([gyro_energy(w) for w in subset], config.energy_bins))
-    if FACTOR_RATE in unfitted:
-        config = replace(config, rate_edges=fit_energy_edges([mean_angular_rate(w) for w in subset], config.rate_bins))
-    return config
+    return _fit_missing_edges(config, len(windows), fit_fraction,
+                              lambda f, m: [_QUANTILE_FACTORS[f].of_window(w) for w in windows[:m]])
 
 
-def _edges_to_fit(config: AbstractionConfig, windows: int, fit_fraction: float) -> tuple[list[str], int]:
-    """The enabled quantile factors whose edges ``config`` lacks, and how
-    many leading windows they are fitted on (0 when there are none)."""
+def _fit_missing_edges(config: AbstractionConfig, windows: int, fit_fraction: float,
+                       leading: Callable[[str, int], Sequence[float]]) -> AbstractionConfig:
+    """``config`` with the edges of each enabled quantile factor that lacks
+    them fitted on ``leading(factor, m)``, the factor's values on the first
+    m = ceil(fit_fraction * windows) windows."""
     fit_fraction = _check_float(fit_fraction, "fit_fraction")
     if not 0.0 < fit_fraction <= 1.0:
         raise InputError(f"fit_fraction must lie in (0, 1], got {fit_fraction}")
-    unfitted = [f for f, edges in ((FACTOR_ENERGY, config.energy_edges), (FACTOR_RATE, config.rate_edges))
-                if f in config.factors and edges is None]
-    if not unfitted:
-        return unfitted, 0
-    if not windows:
-        raise InputError("cannot fit quantile edges without windows")
-    return unfitted, max(1, math.ceil(fit_fraction * windows))
+    fitted = {}
+    for factor, q in _QUANTILE_FACTORS.items():
+        if factor in config.factors and getattr(config, q.edges) is None:
+            if not windows:
+                raise InputError("cannot fit quantile edges without windows")
+            m = max(1, math.ceil(fit_fraction * windows))
+            fitted[q.edges] = fit_energy_edges(leading(factor, m), getattr(config, q.bins))
+    return replace(config, **fitted) if fitted else config
 
 
 def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey:
@@ -429,14 +429,12 @@ def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey
             values.append(window.label)
         elif factor == FACTOR_TILT:
             values.append(tilt_bin(window, config.tilt_bins))
-        elif factor == FACTOR_ENERGY:
-            if config.energy_edges is None:
-                raise InputError("energy factor enabled but energy_edges not fitted")
-            values.append(energy_bin(gyro_energy(window), config.energy_edges))
         else:
-            if config.rate_edges is None:
-                raise InputError("rate factor enabled but rate_edges not fitted")
-            values.append(energy_bin(mean_angular_rate(window), config.rate_edges))
+            q = _QUANTILE_FACTORS[factor]
+            edges = getattr(config, q.edges)
+            if edges is None:
+                raise InputError(f"{factor} factor enabled but {q.edges} not fitted")
+            values.append(energy_bin(q.of_window(window), edges))
     return StateKey(config.factors, values)
 
 
@@ -449,15 +447,12 @@ def _window_means(per_sample: np.ndarray, length: int, hop: int, starts: np.ndar
 def _window_features(stream: LabeledStream, length: int, hop: int, starts: np.ndarray,
                      factors: Sequence[str]) -> dict:
     """Per-window inputs of the binned factors among ``factors``: the mean
-    acceleration (W, 3) for tilt, ``gyro_energy`` and ``mean_angular_rate``."""
-    out = {}
+    acceleration (W, 3) for tilt, and the window mean of each quantile
+    factor's per-sample gyro statistic."""
+    out = {f: _window_means(q.per_sample(stream.gyro), length, hop, starts)
+           for f, q in _QUANTILE_FACTORS.items() if f in factors}
     if FACTOR_TILT in factors:
         out[FACTOR_TILT] = _window_means(stream.acc, length, hop, starts)
-    if FACTOR_ENERGY in factors:
-        g = stream.gyro
-        out[FACTOR_ENERGY] = _window_means(np.sum(g * g, axis=1), length, hop, starts)
-    if FACTOR_RATE in factors:
-        out[FACTOR_RATE] = _window_means(np.linalg.norm(stream.gyro, axis=1), length, hop, starts)
     return out
 
 
@@ -500,12 +495,8 @@ def abstract_stream(
     starts = _window_starts(stream, length, hop)
     if not starts.size:
         raise InputError("no label-pure windows could be formed from the stream")
-    unfitted, m = _edges_to_fit(config, starts.size, fit_fraction)
     features = _window_features(stream, length, hop, starts, config.factors)
-    if FACTOR_ENERGY in unfitted:
-        config = replace(config, energy_edges=fit_energy_edges(features[FACTOR_ENERGY][:m], config.energy_bins))
-    if FACTOR_RATE in unfitted:
-        config = replace(config, rate_edges=fit_energy_edges(features[FACTOR_RATE][:m], config.rate_bins))
+    config = _fit_missing_edges(config, starts.size, fit_fraction, lambda f, m: features[f][:m])
     labels = [_plain(label) for label in stream.labels[starts].tolist()]
     # KeyIndex finds a row without a check only when it is made of strings
     # it has checked, and fastest when equal values are one string object
@@ -517,10 +508,8 @@ def abstract_stream(
             bins = config.tilt_bins
             names = list(map(str, range(bins)))
             columns.append([names[_tilt_of_mean(mu, bins, label)] for mu, label in zip(features[factor], labels)])
-        elif factor == FACTOR_ENERGY:
-            columns.append(_bins(features[factor], config.energy_edges))
         else:
-            columns.append(_bins(features[factor], config.rate_edges))
+            columns.append(_bins(features[factor], getattr(config, _QUANTILE_FACTORS[factor].edges)))
     keys = KeyIndex(config.factors)
     return config, [keys[values] for values in zip(*columns)]
 

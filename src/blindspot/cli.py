@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import math
 import os
 import sys
@@ -18,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .abstraction import (
+    _QUANTILE_FACTORS,
     FACTOR_ICD,
     FACTOR_ORDER,
     abstract_stream,
@@ -206,12 +206,9 @@ def _resolve_config(args):
         )
     if args.tilt_bins is not None:
         overrides["tilt_bins"] = args.tilt_bins
-    if args.energy_bins is not None:
-        overrides["energy_bins"] = args.energy_bins
-        overrides["energy_edges"] = None
-    if args.rate_bins is not None:
-        overrides["rate_bins"] = args.rate_bins
-        overrides["rate_edges"] = None
+    for q in _QUANTILE_FACTORS.values():  # new bins drop the saved edges
+        if getattr(args, q.bins) is not None:
+            overrides[q.bins], overrides[q.edges] = getattr(args, q.bins), None
     return replace(base, **overrides) if overrides else base
 
 
@@ -242,6 +239,8 @@ def _cmd_ingest(args) -> int:
                 _write_config(fh, config)
     with _out_stream(args.out) as fh:
         _write_samples(fh, samples, schema)
+    for message in summary.skipped:
+        print(f"blindspot: warning: {message}", file=sys.stderr)
     for line in summary.lines():
         print(line, file=sys.stderr)
     return 0
@@ -468,15 +467,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # 0 after --help or --version, 1 from _Parser.error
+        return exc.code
     # a command's objects hold no reference cycles and live until it returns,
     # so the cyclic collector would only walk them again and again
     collecting = gc.isenabled()

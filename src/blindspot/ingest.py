@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-import logging
 import math
 import re
 import warnings
@@ -69,8 +68,6 @@ __all__ = [
     "PLACEMENTS",
 ]
 
-logger = logging.getLogger("blindspot")
-
 DROP_MISSING_LABEL = "missing-label"
 DROP_TRANSIENT = "transient-activity"
 DROP_NAN = "NaN-after-impute"
@@ -96,6 +93,7 @@ class IngestionSummary:
     unit: str = "rows"
     sources: tuple = ()
     notes: dict = field(default_factory=dict)
+    skipped: list = field(default_factory=list)  # a warning per record skipped
 
     def drop(self, reason: str, count: int = 1):
         if count:
@@ -455,13 +453,15 @@ def write_abstraction_config(path, config: AbstractionConfig) -> None:
 
 
 def _config_text(value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return ", ".join(map(_config_text, value))
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_config(fh, config: AbstractionConfig) -> None:
-    for name, value in config.to_mapping().items():
+    # a saved config lists the edges last, after refinement_tag
+    for name in sorted(_CONFIG_KEYS, key=lambda name: name.endswith("_edges")):
+        value = getattr(config, name)
         if value is not None:
             fh.write(f"{name} = {_config_text(value)}\n")
 
@@ -521,12 +521,13 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
 
     The first sequence-1 row in file order wins; extra sequence-1 rows are
     tallied as duplicates.  Admissions without a usable sequence-1 code are
-    skipped with a logged warning.  Admissions with equal ICD prefixes share
-    one key object.  The summary counts admissions; the raw diagnosis-row
-    count is carried under notes.
+    skipped, each with a message in the summary's ``skipped``.  Admissions
+    with equal ICD prefixes share one key object.  The summary counts
+    admissions; the raw diagnosis-row count is carried under notes.
     """
     summary = IngestionSummary(unit="admissions", sources=(str(path),))
     admissions: dict[str, list[tuple[int, str]]] = {}
+    primary_line: dict[str, int] = {}  # where each admission's first sequence-1 row ends
     row_count = 0
     with _open_text(path) as fh:
         reader = _DictReader(fh)
@@ -548,6 +549,8 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
                     raise InputError(f"sequence number {raw_seq!r} is not an integer") from None
                 code = row[code_col].strip()
                 admissions.setdefault(adm, []).append((seq, code))
+                if seq == 1:
+                    primary_line.setdefault(adm, reader.line_num)
     summary.note("diagnosis-rows", row_count)
     samples: list[StateKey] = []
     keys = KeyIndex((FACTOR_ICD,))
@@ -560,10 +563,11 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
         try:
             prefix = _icd_prefix(record)
         except MissingPrimaryDiagnosis as exc:
-            logger.warning("skipping admission: %s", exc)
+            summary.skipped.append(f"skipping admission: {exc}")
             summary.drop(DROP_NO_PRIMARY)
             continue
-        samples.append(keys[(prefix,)])
+        with _at_line(path, lambda: primary_line[adm]):
+            samples.append(keys[(prefix,)])
         summary.rows_kept += 1
     summary.emitted = len(samples)
     summary.validate()

@@ -19,7 +19,6 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .abstraction import AbstractionConfig
 from .counts import CountTable, StateKey, freq_of_freqs
 from .errors import InputError, InvariantViolation
 from .estimators import (
@@ -152,7 +151,6 @@ def build_report(
     top_k: int | None = None,
     blind_accuracy: float = 0.0,
     dataset_id: str = "",
-    abstraction: AbstractionConfig | None = None,
 ) -> ReportBundle:
     modes = tuple(modes)
     if not modes:
@@ -167,7 +165,7 @@ def build_report(
     metadata["tool_version"] = TOOL_VERSION
     metadata["n"] = table.n
     metadata["k_eff"] = table.k_observed
-    metadata["abstraction"] = abstraction.to_mapping() if abstraction is not None else None
+    metadata["abstraction"] = None  # kept so every report has the same keys
     metadata["modes"] = list(modes)
     notes = {m: EXTENSION_MODE_NOTES[m] for m in modes if m in EXTENSION_MODE_NOTES}
     if notes:

@@ -269,6 +269,12 @@ class TestEnergyBin:
         with pytest.raises(InputError):
             energy_bin(1.0, (2.0, 1.0))
 
+    def test_a_nan_edge_is_refused_as_the_config_refuses_it(self):
+        with pytest.raises(InputError, match="nondecreasing"):
+            energy_bin(1.0, (0.0, math.nan, 2.0))
+        with pytest.raises(InputError, match="nondecreasing"):
+            AbstractionConfig(factors=("energy",), energy_bins=2, energy_edges=(0.0, math.nan, 2.0))
+
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
            st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=9))
     def test_result_always_a_valid_bin(self, value, raw_edges):
@@ -314,13 +320,6 @@ class TestAbstractionConfig:
         assert (deep.tilt_bins, deep.energy_bins, deep.rate_bins) == (12, 8, 8)
         with pytest.raises(InputError):
             preset("nope")
-
-    def test_to_mapping_round_trips_fields(self):
-        cfg = preset("activity-tilt-energy")
-        m = cfg.to_mapping()
-        assert m["factors"] == ["activity", "tilt", "energy"]
-        assert m["tilt_bins"] == 6 and m["energy_bins"] == 3
-        assert m["energy_edges"] is None
 
 
 class TestFitAndAbstract:

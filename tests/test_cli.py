@@ -1,10 +1,12 @@
 """Command-line interface, exercised in process through main()."""
 
+import contextlib
 import csv
 import gc
 import gzip
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -783,6 +785,14 @@ class TestWilson:
             "(the largest float), got a 1329-bit integer\n"
         )
 
+    def test_a_non_integer_count_exits_2(self, capsys, tmp_path):
+        acc = tmp_path / "acc.csv"
+        acc.write_text("class,successes,trials\nx,1,2\ny,1.5,2\n")
+        assert main(["wilson", "--input", str(acc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {acc}: line 3: successes and trials must be integers\n"
+
     def test_gzipped_input_matches_plain(self, capsys, tmp_path):
         text = b"class,successes,trials\nx,10,20\ny,3,4\n"
         plain, packed = tmp_path / "acc.csv", tmp_path / "acc.csv.gz"
@@ -949,6 +959,28 @@ class TestIngest:
         samples, schema = read_samples_file(dst)
         assert schema == ("icd4",)
         assert [s.value_of("icd4") for s in samples] == ["4107", "0389"]
+
+    def test_a_bad_icd_code_names_its_file_and_line(self, capsys, tmp_path):
+        src = tmp_path / "diag.csv"
+        src.write_text("hadm_id,seq_num,icd_code\n1,1,41|07\n")
+        assert main(["ingest", "--diagnoses", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"blindspot: error: {src}: line 2: factor value may not contain '|': '41|0'\n"
+
+    def test_each_call_writes_its_skip_warning_to_its_own_stderr(self, tmp_path):
+        src = tmp_path / "diag.csv"
+        src.write_text("hadm_id,seq_num,icd_code\n7,2,V3000\n8,1,4107\n")
+        handlers = list(logging.getLogger().handlers)
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["ingest", "--diagnoses", str(src)]) == 0
+            assert err.getvalue().startswith(
+                "blindspot: warning: skipping admission: admission '7' has no sequence-1 diagnosis\n"
+                "sources: "
+            )
+        assert logging.getLogger().handlers == handlers
 
     def test_pamap2_pipeline(self, capsys, tmp_path):
         rng_rows = []

@@ -1,7 +1,6 @@
 """File formats and dataset adapters."""
 
 import gzip
-import logging
 import math
 import re
 import warnings
@@ -545,18 +544,17 @@ DIAG_BODY = (
 
 
 class TestDiagnosesAdapter:
-    def test_admission_unit_accounting(self, tmp_path, caplog):
+    def test_admission_unit_accounting(self, tmp_path):
         path = tmp_path / "diag.csv"
         path.write_text(DIAG_BODY)
-        with caplog.at_level(logging.WARNING, logger="blindspot"):
-            samples, summary = ingest_diagnoses(path)
+        samples, summary = ingest_diagnoses(path)
         assert samples == [key(icd4="4107"), key(icd4="0389")]
         assert summary.unit == "admissions"
         assert summary.rows_read == 3
         assert summary.rows_kept == 2
         assert summary.dropped == {"no-seq1-diagnosis": 1}
         assert summary.notes == {"diagnosis-rows": 5, "duplicate-seq1-diagnosis": 1}
-        assert any("202" in rec.message for rec in caplog.records)
+        assert summary.skipped == ["skipping admission: admission '202' has no sequence-1 diagnosis"]
 
     def test_case_insensitive_alias_headers(self, tmp_path):
         path = tmp_path / "diag.csv"
@@ -589,6 +587,11 @@ class TestDiagnosesAdapter:
             ("hadm_id,seq_num,icd_code\n1,1,A\n2,x,B\n", "line 3: sequence number 'x' is not an integer$"),
             # the quoted code of record 1 spans lines 2-3, so the bad row is on line 4
             ('hadm_id,seq_num,icd_code\n1,1,"A\nB"\n,1,C\n', "line 4: empty admission id$"),
+            # a bad prefix is found after the file is read; the line is the
+            # admission's first sequence-1 row
+            ("hadm_id,seq_num,icd_code\n1,1,41|07\n", r"line 2: factor value may not contain '\|': '41\|0'$"),
+            ("hadm_id,seq_num,icd_code\n7,1,4107\n8,2,E888\n8,1,41|07\n8,1,0389\n",
+             r"line 4: factor value may not contain '\|': '41\|0'$"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, body, pattern):
@@ -749,6 +752,12 @@ class TestRawRecordingAdapter:
         write_dat(path, [raw_row(0.0, 1)])
         with pytest.raises(InputError, match="unknown subject"):
             ingest_pamap2([path], [109], "chest")
+
+    def test_a_path_without_digits_matches_no_subject(self, tmp_path):
+        path = tmp_path / "recording.dat"
+        write_dat(path, [raw_row(0.0, 1)])
+        with pytest.raises(InputError, match=r"^unknown subject id\(s\) \[101\]: no matching file"):
+            ingest_pamap2([path], [101], "chest")
 
     def test_conflicting_files_for_one_subject_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()

@@ -15,7 +15,6 @@ from blindspot import (
     MODE_GENERALIZED_GT,
     MODE_PLUGIN,
     MODE_PLUGIN_UNSEEN,
-    AbstractionConfig,
     InputError,
     InvariantViolation,
     build_report,
@@ -228,11 +227,6 @@ class TestBuildReport:
         assert "estimator_notes" in keys
         assert keys.index("estimator_notes") == keys.index("modes") + 1
         assert MODE_GENERALIZED_GT in bundle.metadata["estimator_notes"]
-
-    def test_abstraction_mapping_included(self):
-        cfg = AbstractionConfig(factors=("activity",), refinement_tag="a")
-        _, bundle = self.make(abstraction=cfg)
-        assert bundle.metadata["abstraction"]["factors"] == ["activity"]
 
     def test_curves_match_direct_estimates(self):
         table, bundle = self.make(modes=(MODE_PLUGIN, MODE_PLUGIN_UNSEEN), tau_max=3)

@@ -103,6 +103,8 @@ class TestDistributions:
     def test_custom_rejects_bad_weights(self):
         with pytest.raises(InputError):
             custom_distribution([1.0, -1.0])
+        with pytest.raises(InputError, match="^probabilities must be finite and >= 0$"):
+            custom_distribution([-1, 2])  # a positive sum: the weights are normalized first
         with pytest.raises(InputError):
             custom_distribution([0.0, 0.0])
         with pytest.raises(InputError):
@@ -113,6 +115,15 @@ class TestDistributions:
 
     def test_size_is_the_length_of_probs(self):
         assert SyntheticDistribution("custom", (), [0.25, 0.75]).size == 2
+
+    @pytest.mark.parametrize("probs", [[1.5, -0.5], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_probs_must_be_finite_and_nonnegative(self, probs):
+        with pytest.raises(InputError, match="^probabilities must be finite and >= 0$"):
+            SyntheticDistribution("custom", (), probs)
+
+    def test_probs_must_sum_to_one(self):
+        with pytest.raises(InputError, match="^probabilities must sum to 1 within 1e-12$"):
+            SyntheticDistribution("custom", (), [0.5, 0.4])
 
     @pytest.mark.parametrize("probs", [[], [[1.0]], 1.0])
     def test_probs_must_be_a_non_empty_vector(self, probs):
