@@ -59,6 +59,8 @@ CASES = {
                           "--out", "{out}/wilson.csv"],
     "simulate-spec": ["simulate", "--spec", "{data}/sweep_small.txt", "--json", "{out}/sweep.json"],
     "simulate-families": ["simulate", "--spec", "{inputs}/families.txt", "--json", "{out}/sweep.json"],
+    "simulate-sparse": ["simulate", "--spec", "{inputs}/sparse.txt", "--out", "{out}/sweep.csv",
+                        "--json", "{out}/sweep.json"],
     "simulate-overrides": ["simulate", "--spec", "{data}/sweep_small.txt", "--trials", "3",
                            "--seed", "5", "--out", "{out}/sweep.csv", "--json", "{out}/sweep.json"],
     "report-act": ["report", "--counts", ACT, "--tau-max", "130", *ALL_MODES,
