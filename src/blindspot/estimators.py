@@ -23,7 +23,7 @@ Three estimator modes evaluate B(tau) from a table alone:
 
 All three read the exact integer numerator ``FreqOfFreqs.below(t)`` =
 sum_{r<t} r * f_r at t = tau, or t = tau+1 for generalized-gt, and divide by
-n once.
+n once; f1 is ``below(2)``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import sys
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 from statistics import NormalDist
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .counts import CountTable, FreqOfFreqs, StateKey, freq_of_freqs
 from .errors import InputError, _check_float, _check_int
@@ -135,18 +135,18 @@ class BlindSpotCurve:
         raise InputError(f"curve has no point at tau={tau}")
 
 
-def _mass(fof: FreqOfFreqs, tau: int, mode: str) -> float:
-    """Blind mass at ``tau`` from the integer numerator ``fof.below(t)``."""
+def _mass(below: Callable[[int], int], n: int, tau: int, mode: str) -> float:
+    """Blind mass at ``tau`` from n and ``below(t)`` = sum_{r<t} r * f_r at t <= tau+1."""
     if mode == MODE_GENERALIZED_GT:
-        return fof.below(tau + 1) / fof.n
+        return below(tau + 1) / n
     if mode == MODE_PLUGIN_UNSEEN:
-        return min(1.0, (fof.below(tau) + fof.singletons) / fof.n)
-    return fof.below(tau) / fof.n
+        return min(1.0, (below(tau) + below(2)) / n)
+    return below(tau) / n
 
 
 def mass_estimate(fof: FreqOfFreqs, tau, mode: str = MODE_PLUGIN) -> float:
     """Single-threshold blind-mass estimate from a frequency-of-frequencies."""
-    return _mass(fof, _check_tau(tau), _check_mode(mode))
+    return _mass(fof.below, fof.n, _check_tau(tau), _check_mode(mode))
 
 
 def blind_spot_curve(table: CountTable, tau_max, mode: str = MODE_PLUGIN) -> BlindSpotCurve:
@@ -157,7 +157,7 @@ def blind_spot_curve(table: CountTable, tau_max, mode: str = MODE_PLUGIN) -> Bli
 def curve_from_freqs(fof: FreqOfFreqs, tau_max, mode: str = MODE_PLUGIN) -> BlindSpotCurve:
     tau_max = _check_tau(tau_max)
     _check_mode(mode)
-    points = tuple((tau, _mass(fof, tau, mode)) for tau in range(1, tau_max + 1))
+    points = tuple((tau, _mass(fof.below, fof.n, tau, mode)) for tau in range(1, tau_max + 1))
     return BlindSpotCurve(
         points=points, estimator_mode=mode, n=fof.n, k_observed=fof.k_observed
     )

@@ -5,11 +5,11 @@ NumPy's PCG64 generator.  Per-trial generators derive from the entropy tuple
 (master seed, cell index, trial index), so sweep results are reproducible and
 trials could be farmed out in parallel without changing a single draw.
 ``sample`` keeps the draws in the order they were made.  A sweep trial needs
-only their counts, so it sorts its uniforms before the CDF search (the same
-multiset of states, found faster) and sums its true blind mass as the exact
-total of the probabilities minus the states seen at least tau times, which
-reads at most min(K, n/tau) probabilities and rounds to the same float as
-summing the blind states directly.
+only their counts: it sorts its uniforms, searches the shorter of K and n in
+the other, reads its estimates from the counts r <= tau, and sums its true
+blind mass as the exact total of the probabilities minus the states seen at
+least tau times, which reads at most min(K, n/tau) probabilities and rounds
+to the same float as summing the blind states directly.
 ``read_sweep_spec`` reads the key=value grid of ``SweepCell``s a sweep runs.
 """
 
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .counts import CountTable, FreqOfFreqs, StateKey
+from .counts import CountTable, StateKey
 from .errors import InputError, InvariantViolation, _check_float, _check_int
-from .estimators import ESTIMATOR_MODES, _check_tau, mass_estimate
+# mass_estimate is not called here; the benchmark's --trace 1 times it on this module
+from .estimators import ESTIMATOR_MODES, _check_tau, _mass, mass_estimate
 from .ingest import _split_list, read_kv_file
 
 __all__ = [
@@ -170,12 +171,17 @@ def _sample_indices(dist: SyntheticDistribution, n: int, seed) -> np.ndarray:
 
 
 def _trial_counts(dist: SyntheticDistribution, n: int, seed) -> np.ndarray:
-    """Per-state counts of ``_sample_indices(dist, n, seed)``.  The uniforms
-    are sorted first: the counts need only the multiset of draws, and sorted
-    keys let each CDF search start where the last one ended."""
+    """Per-state counts of ``_sample_indices(dist, n, seed)``, from the sorted
+    uniforms: with K > n each is searched in the cumulative probabilities; with
+    K <= n state i counts the uniforms below cum[i] less those below cum[i-1],
+    the same states also for zero-probability runs and cum[K-2] > 1.0."""
     u = np.random.default_rng(seed).random(n)
     u.sort()
-    return np.bincount(_states_of(dist, u), minlength=dist.size)
+    if dist.size > n:
+        return np.bincount(_states_of(dist, u), minlength=dist.size)
+    counts = np.searchsorted(u, dist._cum, side="left")
+    counts[1:] -= counts[:-1]
+    return counts
 
 
 def sample(dist: SyntheticDistribution, n, seed) -> list[StateKey]:
@@ -204,8 +210,10 @@ def _exact_parts(values: list[float]) -> list[float]:
     one to 0.0, and each part leaves a residual about 2**-53 times smaller.
     """
     parts: list[float] = []
-    while r := math.fsum(values + [-p for p in parts]):
+    terms = list(values)
+    while r := math.fsum(terms):
         parts.append(r)
+        terms.append(-r)
     return parts
 
 
@@ -224,12 +232,14 @@ def true_blind_mass(dist: SyntheticDistribution, table: CountTable, tau) -> floa
     return _true_mass_from_counts(dist, _counts_vector(dist, table), _check_tau(tau))
 
 
-def _freqs_from_counts(counts: np.ndarray) -> FreqOfFreqs:
-    # bincount over the zero counts too would add one to the same bin K - k
-    # times in a row, slower than the mask when K >> n
-    fs = np.bincount(counts[counts > 0])
-    rs = np.flatnonzero(fs)
-    return FreqOfFreqs(f=dict(zip(rs.tolist(), fs[rs].tolist())))
+def _numerators(counts: np.ndarray, tau: int) -> Callable[[int], int]:
+    """``FreqOfFreqs.below`` of ``counts``, for t <= tau+1 only: the exact
+    integer sum_{r<t} r * f_r over the observed counts r <= tau."""
+    # the mask first: a bincount over K - k zero counts is slower when K >> n
+    seen = counts[counts > 0]
+    fs = np.bincount(seen[seen <= tau], minlength=1)
+    sums = np.cumsum(fs * np.arange(fs.size)).tolist()  # sums[i]: r <= i
+    return lambda t: sums[min(t, len(sums)) - 1]
 
 
 @dataclass(frozen=True)
@@ -357,13 +367,16 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
 
     Per trial: draw n samples, tabulate counts, record the true blind mass and
     each mode's estimate at the cell's tau.  The counts come from the trial's
-    sorted uniforms, so they are those of the same n draws ``sample`` would
-    make.  The true mass is one fsum of the cell's exact probability total,
-    held in a few floats, less the probabilities of the states counted at
-    least tau times: the same float as ``true_blind_mass`` gives, from at
-    most min(K, n/tau) probabilities.  Reported per cell: mean and sample
-    standard deviation of the truth and of each mode, plus each mode's mean
-    absolute error against the paired truth.
+    sorted uniforms, searched over the shorter of K and n, so they are those
+    of the same n draws ``sample`` would make.  The estimates are ``_mass``
+    over ``_numerators``, as ``mass_estimate`` gives them, with no
+    frequency-of-frequencies built.  The true mass is one fsum of the cell's
+    exact probability total, held in a few floats, less the probabilities of
+    the states counted at least tau times: the same float as
+    ``true_blind_mass`` gives, from at most min(K, n/tau) probabilities.
+    Reported per cell: mean and sample standard deviation of the truth and
+    of each mode, plus each mode's mean absolute error against the paired
+    truth.
     """
     trials = _check_int(trials, "trials", 1)
     master_seed = _check_int(master_seed, "master seed", 0)
@@ -388,22 +401,16 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
             except (MemoryError, ValueError):  # numpy cannot allocate or address n draws
                 raise InputError(f"n={cell.n} is too large: the draws do not fit in memory") from None
             true_vals.append(_true_mass_from_parts(parts, dist, counts, cell.tau))
-            fof = _freqs_from_counts(counts)
+            below = _numerators(counts, cell.tau)
             for mode in ESTIMATOR_MODES:
-                est_vals[mode].append(mass_estimate(fof, cell.tau, mode))
+                est_vals[mode].append(_mass(below, cell.n, cell.tau, mode))
         true_mean = _mean(true_vals)
         estimates = []
         for mode in ESTIMATOR_MODES:
             vals = est_vals[mode]
             mean = _mean(vals)
-            estimates.append(
-                ModeStats(
-                    mode=mode,
-                    mean=mean,
-                    std=_std(vals, mean),
-                    mean_abs_error=_mean([abs(e - t) for e, t in zip(vals, true_vals)]),
-                )
-            )
+            error = _mean([abs(e - t) for e, t in zip(vals, true_vals)])
+            estimates.append(ModeStats(mode, mean, _std(vals, mean), error))
         out.append(
             CellStats(
                 cell=cell,

@@ -39,6 +39,7 @@ from blindspot.simulator import (
     SweepResult,
     SyntheticDistribution,
     _exact_parts,
+    _numerators,
     _sample_indices,
     _trial_counts,
     _true_mass_from_counts,
@@ -182,6 +183,9 @@ class TestSampling:
     @example(dist=CUM_OVERSHOOT, n=2_000, seed=2)
     @example(dist=uniform_distribution(20_000), n=3, seed=3)  # K >> n
     @example(dist=zipf_distribution(3, 1.0), n=3_000, seed=4)  # n >> K
+    @example(dist=uniform_distribution(50), n=50, seed=5)  # K = n: states searched in the draws
+    @example(dist=uniform_distribution(51), n=50, seed=6)  # K = n+1: draws searched in the states
+    @example(dist=custom_distribution([0.0, 0.0, 0.3, 1.0, 0.0, 0.0]), n=40, seed=7)  # zero ends, K <= n
     def test_trial_counts_are_the_counts_of_the_draws(self, dist, n, seed):
         expected = np.bincount(_sample_indices(dist, n, seed), minlength=dist.size)
         assert np.array_equal(_trial_counts(dist, n, seed), expected)
@@ -376,8 +380,21 @@ class TestSweep:
             SweepCell(family="uniform", params=(), size=1, n=5, tau=2),
             SweepCell(family="zipf", params=(("s", 1.1),), size=20_000, n=40, tau=2),  # K >> n
             SweepCell(family="geometric", params=(("ratio", 0.9),), size=30, n=3_000, tau=10),
+            SweepCell(family="zipf", params=(("s", 1.1),), size=60, n=60, tau=3),  # K = n
+            SweepCell(family="uniform", params=(), size=61, n=60, tau=2),  # K = n+1
+            SweepCell(family="geometric", params=(("ratio", 0.8),), size=10, n=40, tau=50),  # tau > every count
         ]
         assert run_sweep(cells, trials=4, master_seed=4) == _reference_sweep(cells, 4, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(0, 30), min_size=1, max_size=60).filter(any), tau=st.integers(1, 40))
+    def test_numerators_are_the_table_numerators_up_to_tau_plus_one(self, counts, tau):
+        table = CountTable({state_key(i): c for i, c in enumerate(counts) if c}, (STATE_FACTOR,))
+        fof = freq_of_freqs(table)
+        below = _numerators(np.array(counts), tau)
+        got = [below(t) for t in range(1, tau + 2)]
+        assert got == [fof.below(t) for t in range(1, tau + 2)]
+        assert all(type(b) is int for b in got)
 
     @pytest.mark.parametrize("size, n", [(10**15, 10), (10**20, 10), (10, 10**15), (10, 10**20)])
     def test_a_cell_too_large_for_memory_is_bad_input(self, size, n):
