@@ -14,6 +14,8 @@ import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -61,7 +63,14 @@ def _coerce_value(value) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=256)
+def _key_template(names: tuple[str, ...]) -> str:
+    """``_key_template(key.names) % key.values`` is the key's text: the
+    schema's ``name=%s|name=%s`` template, any ``%`` in a name doubled."""
+    return "|".join([name.replace("%", "%%") + "=%s" for name in names])
+
+
+@dataclass(frozen=True, slots=True)
 class StateKey:
     """One operational state: a value for each factor of a schema.
 
@@ -90,7 +99,7 @@ class StateKey:
         return StateKey(names, [self.value_of(n) for n in names])
 
     def serialize(self) -> str:
-        return "|".join(map("=".join, zip(self.names, self.values)))
+        return _key_template(self.names) % self.values
 
     @classmethod
     def parse(cls, text: str) -> "StateKey":
@@ -191,27 +200,18 @@ class CountTable:
 
     def __post_init__(self):
         schema = _check_schema(self.schema)
-        snapshot: dict[StateKey, int] = {}
-        total = 0
-        for key, raw in self.counts.items():
-            if not isinstance(key, StateKey):
-                raise InputError(f"count table keys must be StateKey, got {type(key).__name__}")
-            if key.names != schema:
-                raise InputError(
-                    f"state {key.serialize()!r} does not match schema {list(schema)}"
-                )
-            try:
-                c = operator.index(raw)
-            except TypeError:
-                raise InputError(f"count for {key.serialize()!r} must be an integer") from None
-            if c < 1:
-                raise InputError(f"stored counts must be >= 1, got {c} for {key.serialize()!r}")
-            snapshot[key] = c
-            total += c
-        if not snapshot:
-            raise InputError("a count table needs at least one observation")
-        object.__setattr__(self, "counts", MappingProxyType(snapshot))
-        object.__setattr__(self, "n", total)
+        counts = dict(self.counts)  # a dict or Counter copies with its stored hashes
+        try:
+            values = list(map(operator.index, counts.values()))
+            valid = min(values, default=0) >= 1 and all(map(isinstance, counts, repeat(StateKey)))
+        except TypeError:
+            valid = False
+        if not valid or set(map(operator.attrgetter("names"), counts)) != {schema}:
+            _raise_first_bad_item(counts, schema)  # an empty table too
+        if set(map(type, counts.values())) != {int}:
+            counts = dict(zip(counts, values))
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        object.__setattr__(self, "n", sum(values))
         object.__setattr__(self, "schema", schema)
 
     @property
@@ -222,7 +222,28 @@ class CountTable:
         return self.counts.get(key, 0)
 
     def sorted_items(self) -> list[tuple["StateKey", int]]:
-        return sorted(self.counts.items(), key=lambda kv: kv[0].values)
+        """(state, count) pairs by state values: a new list per call of the
+        order each table sorts once."""
+        return list(self._state_order)
+
+    @cached_property
+    def _state_order(self) -> tuple[tuple["StateKey", int], ...]:
+        return tuple(sorted(self.counts.items(), key=lambda kv: kv[0].values))
+
+
+def _raise_first_bad_item(counts: Mapping, schema: tuple[str, ...]):
+    for key, raw in counts.items():
+        if not isinstance(key, StateKey):
+            raise InputError(f"count table keys must be StateKey, got {type(key).__name__}")
+        if key.names != schema:
+            raise InputError(f"state {key.serialize()!r} does not match schema {list(schema)}")
+        try:
+            c = operator.index(raw)
+        except TypeError:
+            raise InputError(f"count for {key.serialize()!r} must be an integer") from None
+        if c < 1:
+            raise InputError(f"stored counts must be >= 1, got {c} for {key.serialize()!r}")
+    raise InputError("a count table needs at least one observation")
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def blindness_decomposition(
     n = table.n
     entries = []
     blind_observations = 0
-    for key, c in table.counts.items():
+    for key, c in table.sorted_items():
         if c < tau:
             p = c / n
             if weights is None:
@@ -261,9 +261,8 @@ def blindness_decomposition(
         total = blind_observations / n
     else:
         total = math.fsum(e.contribution for e in entries)
-    # two stable sorts: by state, then by contribution, descending, keeping
-    # tied entries in state order
-    entries.sort(key=lambda e: e.state.values)
+    # entries are built in state order, and the stable sort by contribution
+    # keeps tied entries in it
     entries.sort(key=attrgetter("contribution"), reverse=True)
     return BlindnessDecomposition(entries=tuple(entries[:top_k]), tau=tau, total=total)
 

@@ -7,7 +7,8 @@ fields as the header and one line per row, ``render_json`` one object per
 row keyed by the fields in order.  JSON has ``.17g`` floats and a fixed
 field order, so two runs over identical inputs produce byte-identical
 documents; CSV has LF line endings and six-decimal floats.  A ``StateKey``
-cell is written by both as its ``name=value|name=value`` text.
+cell is written by both as its ``name=value|name=value`` text; JSON renders
+a table a column at a time.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import csv
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
-from .counts import CountTable, StateKey, freq_of_freqs
+from .counts import CountTable, StateKey, _key_template, freq_of_freqs
 from .errors import InputError, InvariantViolation
 from .estimators import (
     ESTIMATOR_MODES,
@@ -212,7 +213,7 @@ def render_json(value) -> str:
     if isinstance(value, float):
         return _render_float(value)
     if isinstance(value, StateKey):
-        return _render_key(value)
+        return encode_basestring(value.serialize())
     if isinstance(value, Table):
         return _render_table(value)
     if isinstance(value, Mapping):
@@ -221,10 +222,6 @@ def render_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(render_json(v) for v in value) + "]"
     raise InvariantViolation(f"cannot render {type(value).__name__} as JSON")
-
-
-def _render_key(key: StateKey) -> str:
-    return encode_basestring(key.serialize())
 
 
 class _FloatTexts(dict):
@@ -237,20 +234,32 @@ class _FloatTexts(dict):
 
 
 def _render_table(table: Table) -> str:
-    """One object per row, each rendered through one ``%`` template of the
-    fields.  Cells of exactly ``str``, ``int``, ``float`` or ``StateKey`` type
-    are rendered directly, any other through ``render_json``."""
+    """One object per row: every row's width is checked first, then each
+    column renders on its own and the rows join through one ``%`` template."""
     width = len(table.fields)
+    for bad in filter(width.__ne__, map(len, table.rows)):
+        raise ValueError(f"a row of {bad} values for {width} fields {table.fields}")
     template = "{" + ",".join(
         encode_basestring(k).replace("%", "%%") + ":%s" for k in table.fields
     ) + "}"
-    render = {str: encode_basestring, int: str, float: _FloatTexts().__getitem__, StateKey: _render_key}.get
-    objects = []
-    for row in table.rows:
-        if len(row) != width:
-            raise ValueError(f"a row of {len(row)} values for {width} fields {table.fields}")
-        objects.append(template % tuple([render(type(v), render_json)(v) for v in row]))
+    columns = map(_render_column, zip(*table.rows))
+    objects = map(template.__mod__, zip(*columns)) if width else ["{}"] * len(table.rows)
     return "[" + ",".join(objects) + "]"
+
+
+def _render_column(col: tuple):
+    """A column's JSON texts: one ``map`` of a renderer when every cell is of
+    exactly one of ``str``, ``int`` or ``float`` type or is a ``StateKey`` of
+    one schema (through its key template), else ``render_json`` per cell."""
+    types = set(map(type, col))
+    kind = types.pop() if len(types) == 1 else None
+    if kind is StateKey:
+        schemas = set(map(attrgetter("names"), col))
+        if len(schemas) == 1:
+            texts = map(_key_template(schemas.pop()).__mod__, map(attrgetter("values"), col))
+            return map(encode_basestring, texts)
+    render = {str: encode_basestring, int: str, float: _FloatTexts().__getitem__}.get(kind, render_json)
+    return map(render, col)
 
 
 def decomposition_obj(d: BlindnessDecomposition) -> dict:

@@ -2,7 +2,9 @@
 
 import random
 from collections import Counter
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from blindspot import (
 )
 from blindspot.counts import KeyIndex
 from blindspot.ingest import read_counts_file
+from blindspot.report import support_histogram
 from conftest import ACTIVITY_COUNTS, key, random_multi_table, table_of
 
 # valid factor names and values: non-empty, unpadded, none of = | tab CR LF
@@ -85,6 +88,17 @@ class TestStateKey:
         assert k.names is names
         back = StateKey.parse(k.serialize())
         assert back == k and hash(back) == hash(k)
+
+    def test_percent_in_names_round_trips(self):
+        k = StateKey(("%", "%s", "%%", "a%(x)s"), ("%", "%d", "%%s", "v"))
+        assert k.serialize() == "%=%|%s=%d|%%=%%s|a%(x)s=v"
+        assert StateKey.parse(k.serialize()) == k
+
+    def test_keys_have_slots_only(self):
+        k = key(a="1")
+        assert not hasattr(k, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(k, "extra", 1)
 
     def test_parse_rejects_field_without_equals(self):
         with pytest.raises(InputError):
@@ -334,6 +348,56 @@ class TestCountTable:
     def test_sorted_items_by_value(self):
         table = table_of({"b": 2, "a": 1, "c": 3})
         assert [k.value_of("activity") for k, _ in table.sorted_items()] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("mapping", [dict, Counter, lambda d: MappingProxyType(dict(d))])
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            # a bad count before a bad key
+            ([(key(s="a"), 1), (key(s="b"), "2"), ("s=c", 1)], "count for 's=b' must be an integer"),
+            ([(key(s="a"), 1), (key(s="b"), 0), (key(t="c"), 1)], "stored counts must be >= 1, got 0 for 's=b'"),
+            ([(key(s="b"), -1), (key(s="a"), 1.0)], "stored counts must be >= 1, got -1 for 's=b'"),
+            # a bad key before a bad count
+            ([(key(s="a"), 1), (key(t="c"), 1), (key(s="b"), 0)], "state 't=c' does not match schema ['s']"),
+            ([(key(s="a", t="c"), 1), (key(s="b"), "2")], "state 's=a|t=c' does not match schema ['s']"),
+            ([("s=c", 1), (key(s="b"), 0)], "count table keys must be StateKey, got str"),
+            ([(key(s="a"), 2), (key(s="b"), 1.0), (key(s="c"), 0)], "count for 's=b' must be an integer"),
+        ],
+    )
+    def test_first_bad_item_named_exactly(self, mapping, items, message):
+        with pytest.raises(InputError) as exc:
+            CountTable(counts=mapping(dict(items)), schema=("s",))
+        assert str(exc.value) == message
+
+    def test_state_key_subclass_accepted(self):
+        class TaggedKey(StateKey):
+            pass
+
+        tagged = TaggedKey(("s",), ("a",))
+        table = CountTable(counts={tagged: 2, key(s="b"): 1}, schema=("s",))
+        assert table.n == 3 and table.count(tagged) == 2
+        assert [k for k, _ in table.sorted_items()] == [tagged, key(s="b")]
+
+    @pytest.mark.parametrize("mapping", [dict, Counter])
+    def test_integer_like_counts_stored_as_int(self, mapping):
+        counts = {key(s="a"): np.int64(3), key(s="b"): 2, key(s="c"): True, key(s="d"): np.uint8(1)}
+        table = CountTable(counts=mapping(counts), schema=("s",))
+        assert list(table.counts.items()) == [(key(s="a"), 3), (key(s="b"), 2), (key(s="c"), 1), (key(s="d"), 1)]
+        assert all(type(c) is int for c in table.counts.values())
+        assert type(table.n) is int and table.n == 7
+
+    def test_sorted_items_is_a_new_list_per_call(self):
+        table = table_of({"b": 2, "a": 1, "c": 3, "d": 1})
+        before = table.sorted_items()
+        histogram = support_histogram(table)
+        decomposition = blindness_decomposition(table, 3)
+        mutated = table.sorted_items()
+        mutated.reverse()
+        mutated.append((key(activity="z"), 9))
+        assert table.sorted_items() == before
+        assert support_histogram(table) == histogram
+        assert blindness_decomposition(table, 3) == decomposition
+        assert [e.state for e in decomposition.entries] == [key(activity="b"), key(activity="a"), key(activity="d")]
 
 
 class TestFreqOfFreqs:

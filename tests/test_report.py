@@ -177,6 +177,46 @@ class TestTableTemplate:
         assert render_json(table) == '[{"%s":"x","100%":1},{"%s":"%d","100%":2.5}]'
 
 
+# factor names with the key template's own "%", values with the characters
+# JSON escapes and non-ASCII text
+PERCENT_SCHEMA = ("%", "%s", "%%")
+ESCAPED_KEYS = [
+    StateKey(PERCENT_SCHEMA, values)
+    for values in (('"', "\\", "\x01"), ("名", "%d", "%%"), ("a", "b", "c"))
+]
+
+
+class TestColumnRendering:
+    """Each column kind of the column-at-a-time renderer, checked against
+    the per-cell rendering."""
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            ESCAPED_KEYS,  # one schema: through the schema's key template
+            [key(a="1"), key(a="2", b="3"), key(b="4")],  # keys of two schemas
+            [key(a="1"), "a=1", key(a="2")],  # keys mixed with strings
+            [True, False, True],  # bool is not exactly int
+            [Table(("t",), [(1,)]), Table((), [()]), Table(("t", "m"), [])],  # nested tables
+        ],
+    )
+    def test_column_equals_the_per_cell_rendering(self, column):
+        table = Table(("c", "n"), [(cell, i) for i, cell in enumerate(column)])
+        assert render_json(table) == reference_json(table)
+
+    def test_one_schema_key_text(self):
+        table = Table(("state",), [(k,) for k in ESCAPED_KEYS[:2]])
+        assert json.loads(render_json(table)) == [
+            {"state": '%="|%s=\\|%%=\x01'},
+            {"state": "%=名|%s=%d|%%=%%"},
+        ]
+
+    def test_zero_field_rows_render_as_empty_objects(self):
+        table = Table((), [[], []])
+        assert render_json(table) == "[{},{}]" == reference_json(table)
+        assert render_json(Table((), [])) == "[]"
+
+
 class TestFormatting:
     def test_fixed_six_decimals(self):
         assert format_float(0.0725) == "0.072500"

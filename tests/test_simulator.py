@@ -41,6 +41,7 @@ from blindspot.simulator import (
     _exact_parts,
     _numerators,
     _sample_indices,
+    _states_of,
     _trial_counts,
     _true_mass_from_counts,
     _true_mass_from_parts,
@@ -189,6 +190,34 @@ class TestSampling:
     def test_trial_counts_are_the_counts_of_the_draws(self, dist, n, seed):
         expected = np.bincount(_sample_indices(dist, n, seed), minlength=dist.size)
         assert np.array_equal(_trial_counts(dist, n, seed), expected)
+
+    @pytest.mark.parametrize(
+        "dist, n",
+        [
+            (zipf_distribution(5, 1.0), 13),  # K < n
+            (custom_distribution([0.0, 0.25, 0.25, 0.0, 0.5]), 5),  # K = n, zero-probability states
+            (CUM_OVERSHOOT, 5),  # K = n, cum[K-2] > 1.0
+            (zipf_distribution(9, 1.1), 7),  # K > n
+        ],
+    )
+    def test_a_uniform_on_a_cumulative_probability_goes_to_the_next_state(self, dist, n, monkeypatch):
+        # every uniform is 0.0 or exactly one of the cumulative probabilities
+        # below 1.0, where _states_of puts it in the state above
+        cum = dist._cum[:-1]
+        ties = np.array([*cum[cum < 1.0][::-1], 0.0])
+        u = np.resize(ties, n)
+
+        class FixedUniforms:
+            def __init__(self, seed):
+                pass
+
+            def random(self, size):
+                assert size == n
+                return u.copy()  # _trial_counts sorts its uniforms in place
+
+        monkeypatch.setattr(np.random, "default_rng", FixedUniforms)
+        expected = np.bincount(_states_of(dist, u), minlength=dist.size)
+        assert np.array_equal(_trial_counts(dist, n, 0), expected)
 
     def test_cdf_overshoot_before_the_last_state(self):
         assert CUM_OVERSHOOT._cum[-2] > 1.0 == CUM_OVERSHOOT._cum[-1]
