@@ -261,27 +261,20 @@ class FreqOfFreqs:
     _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        snapshot: dict[int, int] = {}
+        what = "frequency-of-frequencies entry"
+        # every entry is an int before the sort, which mixed key types would fail
+        entries = sorted((_check_int(r, what), _check_int(fr, what)) for r, fr in self.f.items())
         below = [0]
-        try:
-            for r, fr in sorted(self.f.items()):
-                r = operator.index(r)
-                fr = operator.index(fr)
-                if r < 1 or fr < 1:
-                    raise InputError(f"frequency-of-frequencies entries must be >= 1, got f[{r}]={fr}")
-                snapshot[r] = fr
-                below.append(below[-1] + r * fr)
-        except TypeError:
-            # name a non-integer entry only after the unchecked loop has failed
-            for x in (*self.f, *self.f.values()):
-                _check_int(x, "frequency-of-frequencies entry")
-            raise
-        if not snapshot:
+        for r, fr in entries:
+            if r < 1 or fr < 1:
+                raise InputError(f"frequency-of-frequencies entries must be >= 1, got f[{r}]={fr}")
+            below.append(below[-1] + r * fr)
+        if not entries:
             raise InputError("a frequency-of-frequencies table needs at least one entry")
-        object.__setattr__(self, "f", MappingProxyType(snapshot))
+        object.__setattr__(self, "f", MappingProxyType(dict(entries)))
         object.__setattr__(self, "n", below[-1])
-        object.__setattr__(self, "k_observed", sum(snapshot.values()))
-        object.__setattr__(self, "_rs", tuple(snapshot))
+        object.__setattr__(self, "k_observed", sum(self.f.values()))
+        object.__setattr__(self, "_rs", tuple(self.f))
         object.__setattr__(self, "_below", tuple(below))
 
     @property

@@ -169,6 +169,13 @@ def good_turing_unseen_mass(fof: FreqOfFreqs) -> float:
     return fof.singletons / fof.n
 
 
+def _check_weight(w: float, what: Callable[[], str]) -> float:
+    """``w`` if it is finite and >= 0, else an InputError naming ``what()``, called only then."""
+    if w >= 0.0 and math.isfinite(w):
+        return w
+    raise InputError(f"{what()} must be finite and >= 0, got {w}")
+
+
 @dataclass(frozen=True)
 class RiskWeights:
     """Per-state cost weights in [0, inf); unlisted states get the default."""
@@ -182,12 +189,9 @@ class RiskWeights:
             if not isinstance(key, StateKey):
                 raise InputError("risk weight keys must be StateKey")
             w = _check_float(w, "risk weight")
-            if not (w >= 0.0 and math.isfinite(w)):
-                raise InputError(f"risk weight for {key.serialize()!r} must be finite and >= 0, got {w}")
-            snapshot[key] = w
+            snapshot[key] = _check_weight(w, lambda: f"risk weight for {key.serialize()!r}")
         default = _check_float(self.default_weight, "default risk weight")
-        if not (default >= 0.0 and math.isfinite(default)):
-            raise InputError(f"default risk weight must be finite and >= 0, got {default}")
+        default = _check_weight(default, lambda: "default risk weight")
         object.__setattr__(self, "weights", snapshot)
         object.__setattr__(self, "default_weight", default)
 

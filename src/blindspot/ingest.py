@@ -9,21 +9,25 @@ Formats owned here:
 * risk-weights text: ``<state><TAB><weight>`` lines where the state is either
   the canonical ``name=value|name=value`` form or bare ``value|value`` matched
   to the schema positionally; a ``*`` line sets the default weight
-* per-class accuracy CSV: ``class,successes,trials`` columns
+* per-class accuracy (``class,successes,trials``), generic labeled and
+  admission diagnoses CSVs, whose columns are found by name
 * key=value config text (abstraction configs; sweep specs are read by
   ``simulator.read_sweep_spec``); ``#`` lines are comments
 * raw 54-column IMU recordings (whitespace separated, ``NaN`` literals)
 
-Paths ending in ``.gz`` are decompressed transparently on read.  Every
-reader's ``InputError`` names the file; one about a record also names the
-physical line on which the record ends (``<path>: line <n>: <message>``).
+A CSV file's first record is its header, and every record must have the
+header's width.  A blank line is a 0-field record in a samples or counts
+file and is skipped in the other CSVs, which refuse a header that names a
+column they read twice.  Paths ending in ``.gz`` are decompressed
+transparently on read.  Every reader's ``InputError`` names the file; one
+about a record also names the physical line on which the record ends
+(``<path>: line <n>: <message>``), and one about a config value its key.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
-import math
 import re
 import warnings
 import zlib
@@ -44,7 +48,7 @@ from .abstraction import (
 )
 from .counts import CountTable, KeyIndex, StateKey, build_count_table
 from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis, _check_int
-from .estimators import RiskWeights
+from .estimators import RiskWeights, _check_weight
 
 __all__ = [
     "IngestionSummary",
@@ -140,21 +144,34 @@ def _open_text(path):
         yield fh
 
 
-class _DictReader(csv.DictReader):
-    """``csv.DictReader`` that refuses a row whose field count is not the
-    header's, where the base class pads a short row with None and files a
-    long row's extra fields under the key None.  Blank lines are skipped,
-    and ``line_num`` is the line on which the returned row ends."""
+def _header(path, reader, what: str = "file") -> list[str]:
+    """The first record of a CSV ``reader``: its file's header."""
+    try:
+        return next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty {what} (missing header)") from None
 
-    def __next__(self) -> dict[str, str]:
-        names = self.fieldnames  # reads the header on first use
-        row = next(self.reader)
-        while not row:
-            row = next(self.reader)
-        self.line_num = self.reader.line_num
-        if len(row) != len(names):
-            raise InputError(f"expected {len(names)} fields, found {len(row)}")
-        return dict(zip(names, row))
+
+def _records(rows, width: int):
+    """Each of ``rows``, refusing one of another width.  Given the ``csv.reader``
+    itself, a blank line is a 0-field record; ``filter(None, reader)`` skips it."""
+    for row in rows:
+        if len(row) != width:
+            raise InputError(f"expected {width} fields, found {len(row)}")
+        yield row
+
+
+def _positions(path, header, folded, names, what="column(s)") -> list[int]:
+    """Where each of ``names`` stands in ``folded``, the header's names as
+    its format compares them.  A missing name is refused, and so is one the
+    header holds twice: which copy to read would be a guess."""
+    missing = [name for name in names if name not in folded]
+    if missing:
+        raise InputError(f"{path}: missing {what} {missing}; header has {header}")
+    for name in names:
+        if folded.count(name) > 1:
+            raise InputError(f"{path}: column {name!r} appears more than once; header has {header}")
+    return [folded.index(name) for name in names]
 
 
 @contextmanager
@@ -189,19 +206,11 @@ def _write_samples(fh, samples: Iterable[StateKey], schema: Sequence[str]) -> No
         writer.writerow(list(key.values))
 
 
-def _read_samples_header(path, reader) -> tuple[str, ...]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{path}: empty samples file (missing header)") from None
-    schema = []
+def _samples_schema(path, header) -> tuple[str, ...]:
     for col in header:
         if not col.startswith(_FACTOR_PREFIX):
-            raise InputError(
-                f"{path}: samples header column {col!r} must start with {_FACTOR_PREFIX!r}"
-            )
-        schema.append(col[len(_FACTOR_PREFIX):])
-    return tuple(schema)
+            raise InputError(f"{path}: samples header column {col!r} must start with {_FACTOR_PREFIX!r}")
+    return tuple(col[len(_FACTOR_PREFIX):] for col in header)
 
 
 def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
@@ -210,8 +219,7 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
 
     Equal rows share one key object: a key is built and validated the first
     time its row appears, so memory grows with the distinct states plus one
-    pointer per row.  Errors name the line of the first row that shows them,
-    the physical line on which that row ends.
+    pointer per row.
 
     This is the per-row API.  To count a file, ``count_samples_file`` is
     cheaper: it parses each distinct line once and keeps no per-row list; it
@@ -219,15 +227,10 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        schema = _read_samples_header(path, reader)
-        width = len(schema)
+        schema = _samples_schema(path, _header(path, reader, "samples file"))
         keys = KeyIndex(schema)
-        samples = []
         with _at_line(path, lambda: reader.line_num):
-            for row in reader:
-                if len(row) != width:
-                    raise InputError(f"expected {width} fields, found {len(row)}")
-                samples.append(keys[tuple(row)])
+            samples = [keys[tuple(row)] for row in _records(reader, len(schema))]
     return samples, schema
 
 
@@ -262,7 +265,7 @@ def _count_distinct_lines(path) -> CountTable | None:
     """``count_samples_file`` without its fallback: ``None`` when a data line
     holds a ``"``."""
     with _open_text(path) as fh:
-        schema = _read_samples_header(path, csv.reader(fh))
+        schema = _samples_schema(path, _header(path, csv.reader(fh), "samples file"))
         lines = Counter(fh)
     if any('"' in line for line in lines):
         return None
@@ -285,14 +288,9 @@ def read_counts_file(path) -> CountTable:
     Duplicate state rows are summed (multiset semantics)."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty counts file (missing header)") from None
+        header = _header(path, reader, "counts file")
         if len(header) < 2 or header[-1].strip().lower() != "count":
-            raise InputError(
-                f"{path}: counts header must be factor columns followed by a 'count' column"
-            )
+            raise InputError(f"{path}: counts header must be factor columns followed by a 'count' column")
         schema = tuple(
             col[len(_FACTOR_PREFIX):] if col.startswith(_FACTOR_PREFIX) else col.strip()
             for col in header[:-1]
@@ -300,9 +298,7 @@ def read_counts_file(path) -> CountTable:
         keys = KeyIndex(schema)
         counts: dict[StateKey, int] = {}
         with _at_line(path, lambda: reader.line_num):
-            for row in reader:
-                if len(row) != len(header):
-                    raise InputError(f"expected {len(header)} fields, found {len(row)}")
+            for row in _records(reader, len(header)):
                 key = keys[tuple([v.strip() for v in row[:-1]])]
                 raw = row[-1].strip()
                 try:
@@ -340,8 +336,7 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
                 w = float(weight_text.strip())
             except ValueError:
                 raise InputError(f"weight {weight_text.strip()!r} is not a number") from None
-            if not (w >= 0.0 and math.isfinite(w)):
-                raise InputError(f"weight must be finite and >= 0, got {w}")
+            _check_weight(w, lambda: "weight")
             key_text = key_text.strip()
             if key_text == "*":
                 if default is not None:
@@ -372,21 +367,16 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
     which the row ends; ranges are the caller's."""
     rows = []
     with _open_text(path) as fh:
-        reader = _DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file (missing header)")
-        lowered = {name.lower().strip(): name for name in reader.fieldnames}
-        missing = [c for c in ("class", "successes", "trials") if c not in lowered]
-        if missing:
-            raise InputError(
-                f"{path}: missing column(s) {missing}; header has {reader.fieldnames}"
-            )
+        reader = csv.reader(fh)
+        header = _header(path, reader)
+        folded = [name.lower().strip() for name in header]
+        label_at, s_at, t_at = _positions(path, header, folded, ("class", "successes", "trials"))
         with _at_line(path, lambda: reader.line_num):
-            for row in reader:
-                label = row[lowered["class"]].strip()
+            for row in _records(filter(None, reader), len(header)):
+                label = row[label_at].strip()
                 try:
-                    s = int(row[lowered["successes"]].strip())
-                    t = int(row[lowered["trials"]].strip())
+                    s = int(row[s_at].strip())
+                    t = int(row[t_at].strip())
                 except ValueError:
                     raise InputError("successes and trials must be integers") from None
                 rows.append((reader.line_num, label, s, t))
@@ -419,8 +409,19 @@ def read_kv_file(path, keys: Sequence[str]) -> dict[str, str]:
     return out
 
 
-def _split_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _kv_int(kv: dict[str, str], key: str) -> int:
+    try:
+        return int(kv[key])
+    except ValueError:
+        raise InputError(f"{key} must be an integer, got {kv[key]!r}") from None
+
+
+def _kv_list(kv: dict[str, str], key: str, parse, noun: str) -> list:
+    """The comma-separated values of ``key``, each through ``parse``."""
+    try:
+        return [parse(part.strip()) for part in kv[key].split(",") if part.strip()]
+    except ValueError:
+        raise InputError(f"{key} must be a comma-separated list of {noun}") from None
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(AbstractionConfig))
@@ -433,13 +434,13 @@ def read_abstraction_config(path) -> AbstractionConfig:
     kwargs: dict = {}
     try:
         if "factors" in kv:
-            kwargs["factors"] = tuple(_split_list(kv["factors"]))
+            kwargs["factors"] = tuple(_kv_list(kv, "factors", str, "names"))
         for name in ("tilt_bins", "energy_bins", "rate_bins"):
             if name in kv:
-                kwargs[name] = int(kv[name])
+                kwargs[name] = _kv_int(kv, name)
         for name in ("energy_edges", "rate_edges"):
             if name in kv and kv[name]:
-                kwargs[name] = tuple(float(v) for v in _split_list(kv[name]))
+                kwargs[name] = tuple(_kv_list(kv, name, float, "numbers"))
         if "refinement_tag" in kv:
             kwargs["refinement_tag"] = kv["refinement_tag"]
         return AbstractionConfig(**kwargs)
@@ -483,17 +484,14 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
     summary = IngestionSummary(unit="rows", sources=(str(path),))
     samples: list[StateKey] = []
     with _open_text(path) as fh:
-        reader = _DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file (missing header)")
-        missing = [c for c in key_columns if c not in reader.fieldnames]
-        if missing:
-            raise InputError(f"{path}: missing key column(s) {missing}; header has {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = _header(path, reader)
+        columns = _positions(path, header, header, key_columns, "key column(s)")
         keys = KeyIndex(key_columns)
         with _at_line(path, lambda: reader.line_num):
-            for row in reader:
+            for row in _records(filter(None, reader), len(header)):
                 summary.rows_read += 1
-                values = tuple([row[c].strip() for c in key_columns])
+                values = tuple([row[i].strip() for i in columns])
                 if "" in values:
                     summary.drop(DROP_MISSING_LABEL)
                     continue
@@ -506,14 +504,6 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
 
 # ---------------------------------------------------------------------------
 # admission diagnoses
-
-
-def _resolve_column(fieldnames: Sequence[str], candidates: tuple[str, ...], path) -> str:
-    lowered = {name.lower(): name for name in fieldnames}
-    for cand in candidates:
-        if cand in lowered:
-            return lowered[cand]
-    raise InputError(f"{path}: missing required column (one of {list(candidates)}); header has {list(fieldnames)}")
 
 
 def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
@@ -530,24 +520,28 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
     primary_line: dict[str, int] = {}  # where each admission's first sequence-1 row ends
     row_count = 0
     with _open_text(path) as fh:
-        reader = _DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file (missing header)")
-        adm_col = _resolve_column(reader.fieldnames, ("hadm_id", "admission_id"), path)
-        seq_col = _resolve_column(reader.fieldnames, ("seq_num",), path)
-        code_col = _resolve_column(reader.fieldnames, ("icd_code",), path)
+        reader = csv.reader(fh)
+        header = _header(path, reader)
+        folded = [name.lower() for name in header]
+        names = []  # of each column, the first of its names the header holds
+        for candidates in (("hadm_id", "admission_id"), ("seq_num",), ("icd_code",)):
+            names.append(next((name for name in candidates if name in folded), None))
+            if names[-1] is None:
+                raise InputError(
+                    f"{path}: missing required column (one of {list(candidates)}); header has {header}"
+                )
+        adm_at, seq_at, code_at = _positions(path, header, folded, names)
         with _at_line(path, lambda: reader.line_num):
-            for row in reader:
-                row_count += 1
-                adm = row[adm_col].strip()
+            for row_count, row in enumerate(_records(filter(None, reader), len(header)), 1):
+                adm = row[adm_at].strip()
                 if not adm:
                     raise InputError("empty admission id")
-                raw_seq = row[seq_col].strip()
+                raw_seq = row[seq_at].strip()
                 try:
                     seq = int(raw_seq)
                 except ValueError:
                     raise InputError(f"sequence number {raw_seq!r} is not an integer") from None
-                code = row[code_col].strip()
+                code = row[code_at].strip()
                 admissions.setdefault(adm, []).append((seq, code))
                 if seq == 1:
                     primary_line.setdefault(adm, reader.line_num)

@@ -25,7 +25,7 @@ from .counts import CountTable, StateKey
 from .errors import InputError, InvariantViolation, _check_float, _check_int
 # mass_estimate is not called here; the benchmark's --trace 1 times it on this module
 from .estimators import ESTIMATOR_MODES, _check_tau, _mass, mass_estimate
-from .ingest import _split_list, read_kv_file
+from .ingest import _kv_int, _kv_list, read_kv_file
 
 __all__ = [
     "GENERATOR_NAME",
@@ -276,10 +276,7 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
     def listed(key: str, parse, noun: str) -> list:
         if key not in kv:
             raise InputError(f"sweep spec is missing required key {key!r}")
-        try:
-            vals = [parse(v) for v in _split_list(kv[key])]
-        except ValueError:
-            raise InputError(f"{key} must be a comma-separated list of {noun}") from None
+        vals = _kv_list(kv, key, parse, noun)
         if not vals:
             raise InputError(f"{key} must name at least one value")
         for v in vals:
@@ -290,11 +287,7 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
     def single(key: str, least: int):
         if key not in kv:
             return None
-        try:
-            value = int(kv[key])
-        except ValueError:
-            raise InputError(f"{key} must be an integer, got {kv[key]!r}") from None
-        return _check_int(value, key, least)
+        return _check_int(_kv_int(kv, key), key, least)
 
     try:
         families = listed("family", str, "names")

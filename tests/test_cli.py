@@ -197,15 +197,36 @@ class TestExitCodes:
          "activity,surface\nwalk,grass\n\nrun\n", "line 4: expected 2 fields, found 1"),
         (["ingest", "--diagnoses"], "hadm_id,seq_num,icd_code\n1,1,41071\n2,1,0389,7\n",
          "line 3: expected 3 fields, found 4"),
-    ], ids=["wilson", "samples-csv", "diagnoses"])
+        (["histogram", "--samples"], "factor:a,factor:b\nx,y\nx\n", "line 3: expected 2 fields, found 1"),
+        (["histogram", "--counts"], "activity,count\nwalk,1\nrun,2,3\n", "line 3: expected 2 fields, found 3"),
+    ], ids=["wilson", "samples-csv", "diagnoses", "samples", "counts"])
     def test_a_ragged_row_exits_2(self, capsys, tmp_path, argv, text, message):
-        # the header fixes the width; a blank line is skipped, not ragged
+        # the header fixes the width; a blank line is skipped, not ragged,
+        # except in a samples or counts file
         bad = tmp_path / "rows.csv"
         bad.write_text(text)
         assert main([*argv, str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"blindspot: error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("argv, text, column, header", [
+        (["wilson", "--input"], "class,successes,trials,Trials\nk,1,2,4\n",
+         "trials", ["class", "successes", "trials", "Trials"]),
+        (["ingest", "--key-columns", "a", "--samples-csv"], "a,a,b\nx,y,z\n", "a", ["a", "a", "b"]),
+        (["ingest", "--diagnoses"], "hadm_id,seq_num,icd_code,SEQ_NUM\n1,1,41071,2\n",
+         "seq_num", ["hadm_id", "seq_num", "icd_code", "SEQ_NUM"]),
+    ], ids=["wilson", "samples-csv", "diagnoses"])
+    def test_a_header_naming_a_read_column_twice_exits_2(self, capsys, tmp_path, argv, text, column, header):
+        # which copy to read would be a guess; names are compared as each format compares them
+        bad = tmp_path / "rows.csv"
+        bad.write_text(text)
+        assert main([*argv, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"blindspot: error: {bad}: column {column!r} appears more than once; header has {header}\n"
+        )
 
     def test_wilson_missing_columns_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "acc.csv"

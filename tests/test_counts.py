@@ -446,6 +446,10 @@ class TestFreqOfFreqs:
         with pytest.raises(InputError):
             FreqOfFreqs(f={0: 1})
 
+    def test_mixed_key_types_name_the_entry_not_the_sort(self):
+        with pytest.raises(InputError, match="^frequency-of-frequencies entry must be an integer, got str$"):
+            FreqOfFreqs(f={2: 1, "1": 1, 3: 1})
+
 
 class TestCoarsen:
     def test_matches_preimage_sum_oracle(self):

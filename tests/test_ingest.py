@@ -248,6 +248,59 @@ class TestCountsFile:
             read_counts_file(path)
 
 
+# each CSV reader: what its missing-header error calls the file, a header, and
+# a record of the header's width
+CSV_READERS = {
+    "samples": (read_samples_file, "samples file", "factor:a,factor:b", "x,y"),
+    "counts": (read_counts_file, "counts file", "a,count", "x,1"),
+    "wilson": (blindspot.ingest.read_class_accuracies, "file", "class,successes,trials", "x,1,2"),
+    "samples-csv": (lambda path: ingest_samples_csv(path, ["a"]), "file", "a,b", "x,y"),
+    "diagnoses": (ingest_diagnoses, "file", "hadm_id,seq_num,icd_code", "1,1,41071"),
+}
+
+
+@pytest.mark.parametrize("fmt", CSV_READERS)
+class TestCsvRules:
+    """The header and record rules every CSV reader shares."""
+
+    def test_an_empty_file_has_no_header(self, tmp_path, fmt):
+        read, what, _, _ = CSV_READERS[fmt]
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        with raises_at(path, re.escape(f"empty {what} (missing header)") + "$"):
+            read(path)
+
+    def test_a_ragged_record_is_named_by_the_line_it_ends_on(self, tmp_path, fmt):
+        read, _, header, record = CSV_READERS[fmt]
+        width = header.count(",") + 1
+        path = tmp_path / "x.csv"
+        path.write_text(f'{header}\n{record}\n"p\nq",{record}\n')  # the quoted field spans lines 3-4
+        with raises_at(path, f"line 4: expected {width} fields, found {width + 1}$"):
+            read(path)
+
+    def test_a_blank_line_is_refused_in_samples_and_counts_files_only(self, tmp_path, fmt):
+        read, _, header, record = CSV_READERS[fmt]
+        width = header.count(",") + 1
+        path = tmp_path / "x.csv"
+        path.write_text(f"{header}\n{record}\n\n{record},z\n")
+        if fmt in ("samples", "counts"):
+            message = f"line 3: expected {width} fields, found 0$"
+        else:  # skipped, and the next record is named by its own line
+            message = f"line 4: expected {width} fields, found {width + 1}$"
+        with raises_at(path, message):
+            read(path)
+
+
+@pytest.mark.parametrize("fmt", ["wilson", "samples-csv", "diagnoses"])
+def test_a_column_the_reader_does_not_read_may_repeat(tmp_path, fmt):
+    read, _, header, record = CSV_READERS[fmt]
+    path = tmp_path / "x.csv"
+    path.write_text(f"{header},u,U\n{record},1,2\n")
+    repeated = read(path)
+    path.write_text(f"{header},u,v\n{record},1,2\n")
+    assert read(path) == repeated
+
+
 class TestRiskWeights:
     def test_reference_fixture(self):
         w = read_risk_weights(DATA_DIR / "activity_weights.tsv", ("activity",))
@@ -388,7 +441,7 @@ class TestAbstractionConfigFile:
     def test_bad_number_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("tilt_bins = six\n")
-        with raises_at(path, "invalid literal for int"):
+        with raises_at(path, "tilt_bins must be an integer, got 'six'$"):
             read_abstraction_config(path)
 
     def test_unknown_key_reported_at_its_line(self, tmp_path):
@@ -404,7 +457,10 @@ class TestAbstractionConfigFile:
          "energy_edges must be nondecreasing"),
         ("factors = activity, energy\nenergy_bins = 2\nenergy_edges = 0, nan, 1",
          "energy_edges must be nondecreasing"),
-    ], ids=["tilt_bins", "factors", "energy_edges", "nan energy_edges"])
+        ("tilt_bins = 1.5", "tilt_bins must be an integer, got '1.5'$"),
+        ("factors = activity, energy\nenergy_bins = 2\nenergy_edges = 0, abc, 2",
+         "energy_edges must be a comma-separated list of numbers$"),
+    ], ids=["tilt_bins", "factors", "energy_edges", "nan energy_edges", "integer tilt_bins", "number energy_edges"])
     def test_value_errors_name_the_file(self, tmp_path, body, message):
         path = tmp_path / "cfg.txt"
         path.write_text(body + "\n")
