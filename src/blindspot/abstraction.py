@@ -499,7 +499,7 @@ def abstract_stream(
     config = _fit_missing_edges(config, starts.size, fit_fraction, lambda f, m: features[f][:m])
     labels = [_plain(label) for label in stream.labels[starts].tolist()]
     # KeyIndex finds a row without a check only when it is made of strings
-    # it has checked, and fastest when equal values are one string object
+    # equal to ones it has checked, so every column is of strings
     columns = []
     for factor in config.factors:
         if factor == FACTOR_ACTIVITY:

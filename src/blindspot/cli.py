@@ -263,8 +263,9 @@ def _cmd_curve(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv(fh, curve_table(bundle.curves))
     if args.json is not None:
+        text = bundle_to_json(bundle)
         with _out_stream(args.json) as fh:
-            fh.write(bundle_to_json(bundle))
+            fh.write(text)
     return 0
 
 
@@ -281,8 +282,9 @@ def _cmd_decompose(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv(fh, decomposition_table(decomp))
     if args.json is not None:
+        text = render_json(decomposition_obj(decomp))
         with _out_stream(args.json) as fh:
-            fh.write(render_json(decomposition_obj(decomp)) + "\n")
+            fh.writelines((text, "\n"))
     return 0
 
 
@@ -329,8 +331,9 @@ def _cmd_simulate(args) -> int:
     with _out_stream(args.out) as fh:
         write_csv(fh, sweep_table(result))
     if args.json is not None:
+        text = sweep_to_json(result)
         with _out_stream(args.json) as fh:
-            fh.write(sweep_to_json(result))
+            fh.write(text)
     return 0
 
 

@@ -3,19 +3,19 @@
 A state is one categorical value per factor of a fixed schema: a
 ``StateKey`` holds the schema's names tuple, shared by every key read under
 it, and a tuple of values; ``KeyIndex`` is the one place that makes keys
-from rows, so equal states share one key.  Tables keep exact integer counts
-and store only observed states, so the frequency-of-frequencies identities
-hold without floating-point slack.
+from rows, so equal states share one key and equal values one string.
+Tables keep exact integer counts and store only observed states, so the
+frequency-of-frequencies identities hold without floating-point slack.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -148,8 +148,9 @@ class KeyIndex(dict):
     sight with every check ``StateKey(schema, values)`` makes, the same object
     after.  The schema is checked once, when the first key is built, so a bad
     schema is reported at the row (and file line) that needed it.  Each value
-    string is checked once too: a tuple of the schema's width made only of
-    strings that passed before needs no check.
+    string is checked once too, and every key stores the first equal string
+    checked, so equal values are one object: a tuple of the schema's width
+    made only of strings equal to checked ones needs no check.
 
     Keys are stored under their checked, all-string values only.  Any other
     tuple is checked on every lookup, so an integer value finds the key of
@@ -159,28 +160,39 @@ class KeyIndex(dict):
     def __init__(self, schema: Sequence[str]):
         super().__init__()
         self.schema = schema
-        self._checked: set[str] = set()
+        self._checked: dict[str, str] = {}  # each checked string to the one stored
 
     def __missing__(self, values: tuple) -> StateKey:
         if not self:
             self.schema = _check_schema(self.schema)
-        if (
-            type(values) is tuple
-            and len(values) == len(self.schema)
-            and self._checked.issuperset(values)
-        ):
-            checked = values
-        else:
+        stored = tuple(map(self._checked.get, values)) if type(values) is tuple else (None,)
+        if None in stored or len(stored) != len(self.schema):
             checked = _check_values(self.schema, values)
-            self._checked.update(checked)
-            key = self.get(checked)
-            if key is not None:
-                return key
+            stored = tuple(map(self._checked.setdefault, checked, checked))
+            if stored in self:
+                return self[stored]
         key = object.__new__(StateKey)
         object.__setattr__(key, "names", self.schema)
-        object.__setattr__(key, "values", checked)
-        self[checked] = key
+        object.__setattr__(key, "values", stored)
+        self[stored] = key
         return key
+
+    def _new_keys(self, rows: Sequence[tuple]) -> list[StateKey]:
+        """``[self[values] for values in rows]`` for distinct tuples of
+        strings none of which has a key yet, built a pass over all rows at a
+        time; each string not checked before is checked once."""
+        if not self:
+            self.schema = _check_schema(self.schema)
+        if set(map(len, rows)) - {len(self.schema)}:  # a row of another width raises as a lookup does
+            self[next(values for values in rows if len(values) != len(self.schema))]
+        for value in set(chain.from_iterable(rows)).difference(self._checked):
+            self._checked[value] = _clean_token(value, "factor value")
+        stored = list(zip(*[map(self._checked.__getitem__, col) for col in zip(*rows)]))
+        keys = list(map(object.__new__, repeat(StateKey, len(stored))))
+        deque(map(StateKey.names.__set__, keys, repeat(self.schema)), maxlen=0)
+        deque(map(StateKey.values.__set__, keys, stored), maxlen=0)
+        self.update(zip(stored, keys))
+        return keys
 
 
 @dataclass(frozen=True)

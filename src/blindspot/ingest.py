@@ -34,6 +34,7 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -79,6 +80,7 @@ DROP_NO_PRIMARY = "no-seq1-diagnosis"
 NOTE_DUPLICATE_PRIMARY = "duplicate-seq1-diagnosis"
 
 _FACTOR_PREFIX = "factor:"
+_BLOCK_ROWS = 4096  # counts-file rows parsed at a time
 
 
 @dataclass
@@ -285,20 +287,45 @@ def _count_distinct_lines(path) -> CountTable | None:
 
 def read_counts_file(path) -> CountTable:
     """CSV of per-state counts: factor columns then a final ``count`` column.
-    Duplicate state rows are summed (multiset semantics)."""
+    Duplicate state rows are summed (multiset semantics).  A file that fails
+    a check is read again row by row, so its error is the row reader's."""
+    try:
+        return _sum_count_blocks(path)
+    except ValueError:  # an InputError too: read again, to report it as the row reader does
+        return _sum_count_rows(path)
+
+
+def _counts_schema(path, header) -> tuple[str, ...]:
+    if len(header) < 2 or header[-1].strip().lower() != "count":
+        raise InputError(f"{path}: counts header must be factor columns followed by a 'count' column")
+    return tuple(col.strip().removeprefix(_FACTOR_PREFIX) for col in header[:-1])
+
+
+def _sum_count_blocks(path) -> CountTable:
+    """``read_counts_file`` without its fallback, which any ``ValueError`` calls for."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        header = _header(path, reader, "counts file")
-        if len(header) < 2 or header[-1].strip().lower() != "count":
-            raise InputError(f"{path}: counts header must be factor columns followed by a 'count' column")
-        schema = tuple(
-            col[len(_FACTOR_PREFIX):] if col.startswith(_FACTOR_PREFIX) else col.strip()
-            for col in header[:-1]
-        )
+        schema = _counts_schema(path, _header(path, reader, "counts file"))
+        sums: dict[tuple, int] = {}  # stripped values -> summed count
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            *columns, raw = zip(*rows)
+            counts = list(map(int, raw))  # int() ignores surrounding whitespace
+            if set(map(len, rows)) != {len(schema) + 1} or min(counts) < 1:
+                raise ValueError("a ragged or blank record, or a count below 1")
+            for values, c in zip(zip(*[map(str.strip, col) for col in columns]), counts):
+                sums[values] = sums.get(values, 0) + c
+    keys = KeyIndex(schema)._new_keys(list(sums))  # no rows: CountTable refuses the empty table
+    return CountTable(counts=dict(zip(keys, sums.values())), schema=schema)
+
+
+def _sum_count_rows(path) -> CountTable:
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        schema = _counts_schema(path, _header(path, reader, "counts file"))
         keys = KeyIndex(schema)
         counts: dict[StateKey, int] = {}
         with _at_line(path, lambda: reader.line_num):
-            for row in _records(reader, len(header)):
+            for row in _records(reader, len(schema) + 1):
                 key = keys[tuple([v.strip() for v in row[:-1]])]
                 raw = row[-1].strip()
                 try:

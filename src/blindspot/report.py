@@ -8,7 +8,7 @@ row keyed by the fields in order.  JSON has ``.17g`` floats and a fixed
 field order, so two runs over identical inputs produce byte-identical
 documents; CSV has LF line endings and six-decimal floats.  A ``StateKey``
 cell is written by both as its ``name=value|name=value`` text; JSON renders
-a table a column at a time.
+a table a block of rows at a time, each block a column at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 TOOL_VERSION = "0.1.0"
+_BLOCK_ROWS = 4096  # table rows rendered per JSON chunk
 
 
 def format_float(value: float) -> str:
@@ -214,14 +215,27 @@ def render_json(value) -> str:
         return _render_float(value)
     if isinstance(value, StateKey):
         return encode_basestring(value.serialize())
-    if isinstance(value, Table):
-        return _render_table(value)
-    if isinstance(value, Mapping):
-        items = (f"{encode_basestring(str(k))}:{render_json(v)}" for k, v in value.items())
-        return "{" + ",".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
+    if isinstance(value, (Table, Mapping, list, tuple)):
+        return "".join(_json_chunks(value))
     raise InvariantViolation(f"cannot render {type(value).__name__} as JSON")
+
+
+def _json_chunks(value):
+    """``render_json(value)`` in pieces, so that a document is joined once."""
+    if isinstance(value, Table):
+        yield from _table_chunks(value)
+    elif isinstance(value, Mapping):
+        for i, (k, v) in enumerate(value.items()):
+            yield ("," if i else "{") + encode_basestring(str(k)) + ":"
+            yield from _json_chunks(v)
+        yield "}" if value else "{}"
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield "," if i else "["
+            yield from _json_chunks(v)
+        yield "]" if value else "[]"
+    else:
+        yield render_json(value)
 
 
 class _FloatTexts(dict):
@@ -233,18 +247,21 @@ class _FloatTexts(dict):
         return text
 
 
-def _render_table(table: Table) -> str:
-    """One object per row: every row's width is checked first, then each
-    column renders on its own and the rows join through one ``%`` template."""
+def _table_chunks(table: Table):
+    """One object per row: every row's width is checked first, then each block
+    of rows renders a column at a time and joins through one ``%`` template."""
     width = len(table.fields)
     for bad in filter(width.__ne__, map(len, table.rows)):
         raise ValueError(f"a row of {bad} values for {width} fields {table.fields}")
     template = "{" + ",".join(
         encode_basestring(k).replace("%", "%%") + ":%s" for k in table.fields
     ) + "}"
-    columns = map(_render_column, zip(*table.rows))
-    objects = map(template.__mod__, zip(*columns)) if width else ["{}"] * len(table.rows)
-    return "[" + ",".join(objects) + "]"
+    for start in range(0, len(table.rows), _BLOCK_ROWS):
+        block = table.rows[start:start + _BLOCK_ROWS]
+        columns = map(_render_column, zip(*block))
+        objects = map(template.__mod__, zip(*columns)) if width else ["{}"] * len(block)
+        yield ("," if start else "[") + ",".join(objects)
+    yield "]" if len(table.rows) else "[]"
 
 
 def _render_column(col: tuple):
@@ -282,7 +299,7 @@ def bundle_to_json(bundle: ReportBundle) -> str:
         },
         "histogram": histogram_table(bundle.histogram),
     }
-    return render_json(doc) + "\n"
+    return "".join([*_json_chunks(doc), "\n"])
 
 
 def sweep_to_json(result: SweepResult) -> str:
@@ -303,4 +320,4 @@ def sweep_to_json(result: SweepResult) -> str:
             ("family", "params", "K", "n", "tau", "true_mean", "true_std", "estimates"), cells
         ),
     }
-    return render_json(doc) + "\n"
+    return "".join([*_json_chunks(doc), "\n"])

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import blindspot
 from blindspot import read_abstraction_config, read_samples_file
 from blindspot.cli import _build_parser, main
-from blindspot.report import TOOL_VERSION
+from blindspot.report import TOOL_VERSION, build_report, bundle_to_json
 from conftest import DATA_DIR
 
 COUNTS = str(DATA_DIR / "activity_counts.csv")
@@ -881,6 +881,21 @@ class TestReport:
         assert main(["report", "--counts", COUNTS, "--tau-max", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metadata"]["n"] == 1674
+
+    def test_a_file_of_many_blocks_writes_its_bundle(self, tmp_path):
+        # more rows than two read blocks and more states than two render blocks,
+        # some states on two rows
+        rows = 10_000
+        assert rows > 8633 > 2 * blindspot.ingest._BLOCK_ROWS and 8633 > 2 * blindspot.report._BLOCK_ROWS
+        path = tmp_path / "c.csv"
+        path.write_text("site,regime,count\n" + "".join(f"s{i % 97},r{i % 89},{i % 7 + 1}\n" for i in range(rows)))
+        out = tmp_path / "r.json"
+        assert main(["report", "--counts", str(path), "--tau-max", "5", "--decompose-tau", "2",
+                     "--dataset-id", "blocks", "--out", str(out)]) == 0
+        table = blindspot.ingest._sum_count_rows(path)
+        assert table.k_observed == 8633
+        expected = bundle_to_json(build_report(table, 5, decomposition_taus=(2,), dataset_id="blocks"))
+        assert out.read_text(encoding="utf-8") == expected
 
 
 class TestReportSamples:

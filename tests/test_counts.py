@@ -21,7 +21,7 @@ from blindspot import (
     freq_of_freqs,
 )
 from blindspot.counts import KeyIndex
-from blindspot.ingest import read_counts_file
+from blindspot.ingest import count_samples_file, read_counts_file
 from blindspot.report import support_histogram
 from conftest import ACTIVITY_COUNTS, key, random_multi_table, table_of
 
@@ -236,6 +236,52 @@ class TestKeyIndex:
             assert read_counts_file(path).k_observed == rows
             per_read.append(len(calls))
         assert per_read[0] == per_read[1] <= 2
+
+    def test_equal_values_share_one_string(self):
+        index = KeyIndex(("a", "b"))
+        v1, v2, v3 = ("".join(["v", "12345"]) for _ in range(3))
+        assert v1 == v2 == v3 and v1 is not v2 and v2 is not v3
+        k1 = index[(v1, "p")]
+        k2 = index[(v2, "q")]  # checked beside a new value
+        k3 = index[("q", v3)]  # made only of values checked before
+        assert k1.values[0] is k2.values[0] is k3.values[1] is v1
+        k4, k5 = index[(12345, "p")], index[("q", 12345)]
+        assert k4.values[0] == "12345" and k4.values[0] is k5.values[1]
+
+    def test_keys_built_together_are_the_keys_of_their_rows(self):
+        rows = [("x", "y"), ("y", "x"), ("10", "x")]
+        index = KeyIndex(("a", "b"))
+        keys = index._new_keys(rows)
+        assert keys == [StateKey(("a", "b"), values) for values in rows]
+        assert all(index[values] is key for values, key in zip(rows, keys))
+        assert keys[0].values[1] is keys[1].values[0] and keys[1].values[1] is keys[2].values[1]
+        for bad, pattern in (([("x", "y"), ("x",)], "expected 2 factor values"),
+                             ([("x", "y|z")], "may not contain '\\|'"),
+                             ([("x", "")], "non-empty")):
+            with pytest.raises(InputError, match=pattern):
+                KeyIndex(("a", "b"))._new_keys(bad)
+        with pytest.raises(InputError, match="duplicate factor names"):
+            KeyIndex(("a", "a"))._new_keys(rows)
+
+    def test_keys_read_from_files_share_one_string_per_value(self, tmp_path):
+        counts = tmp_path / "c.csv"
+        counts.write_text("a,b,count\nv12345,p,1\nv12345,q,2\nq,v12345,1\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("factor:a,factor:b\nv12345,p\nv12345,q\nq,v12345\nv12345,q\n")
+        for table in (read_counts_file(counts), count_samples_file(samples)):
+            k1, k2, k3 = table.counts
+            assert k1.values[0] is k2.values[0] is k3.values[1]
+
+    def test_coarsened_keys_share_one_string_per_value(self):
+        v1, v2, v3 = ("".join(["v", "12345"]) for _ in range(3))
+        schema = ("a", "b", "c")
+        table = CountTable(
+            {StateKey(schema, (v1, "p", "x")): 1, StateKey(schema, (v2, "q", "x")): 2,
+             StateKey(schema, ("q", v3, "x")): 3},
+            schema,
+        )
+        k1, k2, k3 = coarsen(table, ("a", "b")).counts
+        assert k1.values[0] is k2.values[0] is k3.values[1]
 
 
 class TestCountTable:

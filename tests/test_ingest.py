@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,6 +199,48 @@ class TestCountSamplesFile:
         assert calls == [path]
 
 
+# count cells int() accepts, padded or quoted, one spanning two lines; value
+# cells padded, quoted or repeated
+COUNT_CELLS = st.sampled_from(["1", "2", " 3", "4 ", "+7", "1_000", '"5"', '"6\n"'])
+VALUE_CELLS = st.sampled_from(["x", "y", "10", " x", "y ", '"x"', '"p,q"'])
+# at most one faulty record: a bad count, a bad value, a ragged or blank record
+COUNT_FAULTS = ["0", "-2", "x", "1.5", ""]
+VALUE_FAULTS = ["", "x|y"]
+
+
+@st.composite
+def counts_texts(draw):
+    """Counts files of a few rows with repeated, padded and quoted states and
+    counts, and in most of them one faulty record at a random line."""
+    width = draw(st.integers(1, 3))
+    header = [draw(st.sampled_from([f"f{i}", f"factor:f{i}", f" f{i} "])) for i in range(width)]
+    record = st.tuples(st.lists(VALUE_CELLS, min_size=width, max_size=width), COUNT_CELLS)
+    records = [[*values, count] for values, count in draw(st.lists(record, max_size=12))]
+    fault = draw(st.sampled_from([None, "count", "value", "ragged", "blank"]))
+    if fault is not None:
+        bad = ["x"] * width + ["1"]
+        if fault == "count":
+            bad[-1] = draw(st.sampled_from(COUNT_FAULTS))
+        elif fault == "value":
+            bad[draw(st.integers(0, width - 1))] = draw(st.sampled_from(VALUE_FAULTS))
+        elif fault == "ragged":
+            bad = bad[:-1] if draw(st.booleans()) else bad + ["1"]
+        else:
+            bad = []
+        records.insert(draw(st.integers(0, len(records))), bad)
+    return "".join(",".join(cells) + "\n" for cells in [[*header, "count"], *records])
+
+
+def counts_outcome(read, path):
+    """The table's items in order and its schema, or the error's text."""
+    try:
+        table = read(path)
+    except InputError as exc:
+        return str(exc)
+    assert all(k.names is table.schema for k in table.counts)
+    return list(table.counts.items()), table.schema
+
+
 class TestCountsFile:
     def test_reference_fixture(self):
         table = read_counts_file(DATA_DIR / "activity_counts.csv")
@@ -246,6 +289,23 @@ class TestCountsFile:
         path.write_text(body)
         with raises_at(path, pattern):
             read_counts_file(path)
+
+    @pytest.mark.parametrize("column", [" factor:a", "factor:a ", "a ", " a", "factor:a"])
+    def test_a_padded_header_column_names_its_factor(self, tmp_path, column):
+        path = tmp_path / "c.csv"
+        path.write_text(f"{column},count\nx,1\n")
+        table = read_counts_file(path)
+        assert table.schema == ("a",)
+        assert dict(table.counts) == {key(a="x"): 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=counts_texts(), block=st.integers(1, 3))
+    def test_equals_the_row_reader(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("counts") / "c.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
+            got = counts_outcome(read_counts_file, path)
+        assert got == counts_outcome(blindspot.ingest._sum_count_rows, path)
 
 
 # each CSV reader: what its missing-header error calls the file, a header, and

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from json.encoder import encode_basestring
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from blindspot import (
     render_json,
     support_histogram,
 )
-from blindspot.counts import StateKey, freq_of_freqs
-from blindspot.report import Table, write_csv
+import blindspot.report
+from blindspot.counts import KeyIndex, StateKey, freq_of_freqs
+from blindspot.report import Table, histogram_table, write_csv
 from conftest import key, random_single_table, table_of, tied_tables
 
 import random
@@ -94,12 +97,43 @@ TABLES = st.lists(st.text(), unique=True, max_size=6).flatmap(
 )
 
 
+BLOCK = blindspot.report._BLOCK_ROWS
+# a cell of each kind, a column of mixed kinds, and a StateKey column
+BLOCK_FIELDS = ("state", "count", "share", "note", "mixed")
+BLOCK_CELLS = [
+    (key(a="x", b="y"), 3, 0.25, "é", None),
+    (key(a="x", b="z"), 1, -0.0, '"', 2.5),
+    (key(a="%s", b="y"), 10**20, 1e300, "", "text"),
+]
+
+
 class TestTable:
     @settings(max_examples=200, deadline=None)
-    @given(TABLES)
-    def test_json_equals_one_object_per_row(self, table):
+    @given(TABLES, st.integers(1, 3))
+    def test_json_equals_one_object_per_row(self, table, block):
         records = [dict(zip(table.fields, map(as_text, row))) for row in table.rows]
         assert render_json(table) == render_json(records)
+        with mock.patch.object(blindspot.report, "_BLOCK_ROWS", block):  # a table of many blocks
+            assert render_json(table) == render_json(records)
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("fields", [BLOCK_FIELDS, ()])
+    def test_json_equals_one_object_per_row_at_block_edges(self, rows, fields):
+        table = Table(fields, [BLOCK_CELLS[i % 3][: len(fields)] for i in range(rows)])
+        records = [dict(zip(table.fields, map(as_text, row))) for row in table.rows]
+        assert render_json(table) == render_json(records)
+
+    def test_rendering_peaks_near_the_text_it_returns(self):
+        keys = KeyIndex(("site", "device", "regime"))
+        histogram = [(keys[(f"s{i % 40}", f"d{i // 40 % 25}", f"r{i // 1000}")], 20000 - i) for i in range(20000)]
+        table = histogram_table(histogram)
+        tracemalloc.start()
+        try:
+            text = render_json(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
     @settings(max_examples=200, deadline=None)
     @given(TABLES)
