@@ -15,9 +15,10 @@ to the same float as summing the blind states directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,13 +68,17 @@ class SyntheticDistribution:
     size: int = field(init=False)
 
     def __post_init__(self):
-        # + 0.0 turns a -0.0 into 0.0, so a sum of probabilities never ends at -0.0
-        probs = np.array(self.probs, dtype=float) + 0.0
+        probs = np.array(self.probs, dtype=float)
+        probs += 0.0  # turns a -0.0 into 0.0, so a sum of probabilities never ends at -0.0
         if probs.ndim != 1 or probs.size < 1:
             raise InputError("probabilities must be a non-empty 1-D vector")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise InputError("probabilities must be finite and >= 0")
-        if abs(math.fsum(probs.tolist()) - 1.0) > _DIST_SUM_TOL:
+        try:
+            parts = _exact_parts(probs)
+        except OverflowError:  # the exact sum is past the float range
+            parts = [math.inf]
+        if abs(math.fsum(parts) - 1.0) > _DIST_SUM_TOL:
             raise InputError(f"probabilities must sum to 1 within {_DIST_SUM_TOL}")
         probs.setflags(write=False)
         cum = np.cumsum(probs)
@@ -83,14 +88,24 @@ class SyntheticDistribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "params", tuple((str(k), float(v)) for k, v in self.params))
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_parts", parts)
+
+
+def _floats(values) -> Iterator[float]:
+    """An array's values, raveled, as Python floats made 4096 at a time."""
+    a = np.asarray(values, dtype=float).ravel()
+    return itertools.chain.from_iterable(a[i : i + 4096].tolist() for i in range(0, a.size, 4096))
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
-    # ravel: a weight array of any shape reaches SyntheticDistribution's shape rule
-    total = math.fsum(weights.ravel().tolist())
+    # divides in place; a weight array of any shape reaches SyntheticDistribution's shape rule
+    try:
+        total = math.fsum(_floats(weights))
+    except OverflowError:  # the exact sum is past the float range
+        total = math.inf
     if not (total > 0 and math.isfinite(total)):
         raise InputError("weights must have a positive finite sum")
-    return weights / total
+    return np.divide(weights, total, out=weights)
 
 
 def zipf_distribution(size, exponent) -> SyntheticDistribution:
@@ -99,8 +114,10 @@ def zipf_distribution(size, exponent) -> SyntheticDistribution:
     exponent = _check_float(exponent, "zipf exponent")
     if not exponent >= 0:
         raise InputError(f"zipf exponent must be >= 0, got {exponent}")
+    w = np.arange(1, size + 1, dtype=float)
     with np.errstate(over="ignore"):  # a weight below the float range is 1/inf = 0
-        w = 1.0 / np.arange(1, size + 1, dtype=float) ** exponent
+        w **= exponent  # ** keeps numpy's fast paths for exponents such as 0.5 and 2
+    np.divide(1.0, w, out=w)
     return SyntheticDistribution("zipf", (("s", exponent),), _normalized(w))
 
 
@@ -120,7 +137,7 @@ def uniform_distribution(size) -> SyntheticDistribution:
 
 
 def custom_distribution(probs) -> SyntheticDistribution:
-    return SyntheticDistribution("custom", (), _normalized(np.asarray(probs, dtype=float)))
+    return SyntheticDistribution("custom", (), _normalized(np.array(probs, dtype=float)))
 
 
 # family -> (constructor, (parameter name, sweep spec key) or None)
@@ -180,6 +197,7 @@ def _trial_counts(dist: SyntheticDistribution, n: int, seed) -> np.ndarray:
     if dist.size > n:
         return np.bincount(_states_of(dist, u), minlength=dist.size)
     counts = np.searchsorted(u, dist._cum, side="left")
+    del u  # the difference below copies counts[:-1]; not while the draws live
     counts[1:] -= counts[:-1]
     return counts
 
@@ -199,21 +217,19 @@ def _counts_vector(dist: SyntheticDistribution, table: CountTable) -> np.ndarray
 
 
 def _true_mass_from_counts(dist: SyntheticDistribution, counts: np.ndarray, tau: int) -> float:
-    blind = counts < tau
-    return math.fsum(dist.probs[blind].tolist())
+    return math.fsum(_floats(dist.probs[counts < tau]))
 
 
-def _exact_parts(values: list[float]) -> list[float]:
-    """A few floats whose exact sum is the exact sum of ``values``.
+def _exact_parts(values: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the float array
+    ``values``; OverflowError when a partial sum leaves the float range.
 
     Each residual is a multiple of 2**-1074, so fsum never rounds a non-zero
     one to 0.0, and each part leaves a residual about 2**-53 times smaller.
     """
     parts: list[float] = []
-    terms = list(values)
-    while r := math.fsum(terms):
+    while r := math.fsum(itertools.chain(_floats(values), (-p for p in parts))):
         parts.append(r)
-        terms.append(-r)
     return parts
 
 
@@ -221,8 +237,8 @@ def _true_mass_from_parts(
     parts: list[float], dist: SyntheticDistribution, counts: np.ndarray, tau: int
 ) -> float:
     """``_true_mass_from_counts`` bit for bit, given ``parts`` from
-    ``_exact_parts(dist.probs.tolist())``: fsum rounds the exact total less
-    the states counted at least tau times once, as it rounds the blind sum."""
+    ``_exact_parts(dist.probs)``, as in ``dist._parts``: fsum rounds the exact
+    total less the states counted at least tau times once, as the blind sum."""
     return math.fsum(parts + (-dist.probs[counts >= tau]).tolist())
 
 
@@ -384,7 +400,6 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
             raise
         except (MemoryError, ValueError):  # numpy cannot allocate or address K floats
             raise InputError(f"K={cell.size} is too large: the distribution does not fit in memory") from None
-        parts = _exact_parts(dist.probs.tolist())
         true_vals = []
         est_vals = {mode: [] for mode in ESTIMATOR_MODES}
         for t in range(trials):
@@ -393,7 +408,7 @@ def run_sweep(cells: Sequence[SweepCell], trials, master_seed) -> SweepResult:
                 counts = _trial_counts(dist, cell.n, seed)
             except (MemoryError, ValueError):  # numpy cannot allocate or address n draws
                 raise InputError(f"n={cell.n} is too large: the draws do not fit in memory") from None
-            true_vals.append(_true_mass_from_parts(parts, dist, counts, cell.tau))
+            true_vals.append(_true_mass_from_parts(dist._parts, dist, counts, cell.tau))
             below = _numerators(counts, cell.tau)
             for mode in ESTIMATOR_MODES:
                 est_vals[mode].append(_mass(below, cell.n, cell.tau, mode))

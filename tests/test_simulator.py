@@ -7,6 +7,7 @@ the live behavior (and neighboring seeds) before the bound was committed.
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from blindspot.simulator import (
     CellStats,
     ModeStats,
     SweepResult,
+    _DIST_SUM_TOL,
     SyntheticDistribution,
     _exact_parts,
     _numerators,
@@ -99,8 +101,10 @@ class TestDistributions:
         assert list(dist.probs) == pytest.approx([0.125] * 8)
 
     def test_custom_normalizes(self):
-        dist = custom_distribution([2.0, 1.0, 1.0])
+        weights = np.array([2.0, 1.0, 1.0])
+        dist = custom_distribution(weights)
         assert list(dist.probs) == pytest.approx([0.5, 0.25, 0.25])
+        assert list(weights) == [2.0, 1.0, 1.0]  # normalized in a copy
 
     def test_custom_rejects_bad_weights(self):
         with pytest.raises(InputError):
@@ -126,6 +130,31 @@ class TestDistributions:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(InputError, match="^probabilities must sum to 1 within 1e-12$"):
             SyntheticDistribution("custom", (), [0.5, 0.4])
+
+    def test_a_sum_past_the_float_range_is_bad_input(self):
+        with pytest.raises(InputError, match="^weights must have a positive finite sum$"):
+            custom_distribution([1e308, 1e308])
+        with pytest.raises(InputError, match="^probabilities must sum to 1 within 1e-12$"):
+            SyntheticDistribution("custom", (), np.array([1e308, 1e308]))
+
+    @pytest.mark.parametrize("edge", [1.0 - _DIST_SUM_TOL, 1.0 + _DIST_SUM_TOL])
+    def test_sum_check_at_the_tolerance_is_the_exact_total_check(self, edge):
+        # two halves of x on either side of a 4096-value chunk edge: the exact total is x
+        outcomes = set()
+        for step in range(-3, 4):
+            x = edge
+            for _ in range(abs(step)):
+                x = math.nextafter(x, math.copysign(math.inf, step))
+            probs = np.zeros(4097)
+            probs[4095] = probs[4096] = x / 2
+            accepted = abs(math.fsum(probs.tolist()) - 1.0) <= _DIST_SUM_TOL
+            outcomes.add(accepted)
+            if accepted:
+                SyntheticDistribution("custom", (), probs)
+            else:
+                with pytest.raises(InputError, match="^probabilities must sum to 1 within 1e-12$"):
+                    SyntheticDistribution("custom", (), probs)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("probs", [[], [[1.0]], 1.0])
     def test_probs_must_be_a_non_empty_vector(self, probs):
@@ -284,11 +313,66 @@ class TestTrueBlindMass:
         got = _true_mass_from_parts(_exact_parts(dist.probs.tolist()), dist, counts, 1)
         assert float.hex(got) == float.hex(_true_mass_from_counts(dist, counts, 1)) == "0x0.0p+0"
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]),
+        palette=st.lists(
+            # 8193 values of at most 1e300 cannot overflow a partial sum
+            st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1 / 3, 1.0, 1e300]) | st.floats(-1e300, 1e300),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_exact_parts_of_an_array_are_those_of_its_list(self, size, palette, seed):
+        def reference(values: list) -> list:
+            parts, terms = [], list(values)
+            while r := math.fsum(terms):
+                parts.append(r)
+                terms.append(-r)
+            return parts
+
+        values = np.random.default_rng(seed).choice(np.array(palette), size)
+        got = _exact_parts(values)
+        assert [p.hex() for p in got] == [p.hex() for p in reference(values.tolist())]
+
     def test_foreign_state_rejected(self):
         dist = uniform_distribution(3)
         table = CountTable(counts={state_key(7): 2}, schema=("state",))
         with pytest.raises(InputError):
             true_blind_mass(dist, table, 1)
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda k: zipf_distribution(k, 1.1), lambda k: geometric_distribution(k, 0.9999), uniform_distribution],
+        ids=["zipf", "geometric", "uniform"],
+    )
+    def test_a_distribution_with_its_exact_parts_peaks_at_four_probability_arrays(self, make):
+        # the weights, the probabilities and their cumulative sums, plus a few thousand Python floats
+        tracemalloc.start()
+        try:
+            dist = make(200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.fsum(dist._parts) == math.fsum(dist.probs.tolist())
+        assert peak <= 4 * dist.probs.nbytes
+
+    def test_a_trial_with_k_at_most_n_peaks_at_two_arrays_of_n(self):
+        # the counts and the copy their difference makes, after the draws are freed
+        n = 200_000
+        dist = uniform_distribution(n)
+        np.random.default_rng(0)  # numpy 2 imports numpy.random on first use
+        tracemalloc.start()
+        try:
+            counts = _trial_counts(dist, n, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == n
+        assert peak <= 2.5 * 8 * n
 
 
 def _reference_sweep(cells, trials, master_seed) -> SweepResult:
