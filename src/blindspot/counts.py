@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -143,6 +143,18 @@ def _check_values(names: tuple[str, ...], values) -> tuple[str, ...]:
     return values
 
 
+_set_names, _set_values = StateKey.names.__set__, StateKey.values.__set__
+
+
+def _trusted_key(names: tuple[str, ...], values: tuple[str, ...]) -> StateKey:
+    """``StateKey(names, values)`` without the constructor's checks, for a
+    schema tuple and a tuple of strings that have passed them."""
+    key = object.__new__(StateKey)
+    _set_names(key, names)
+    _set_values(key, values)
+    return key
+
+
 class KeyIndex(dict):
     """``index[values]`` is the ``StateKey`` under ``schema``: built on first
     sight with every check ``StateKey(schema, values)`` makes, the same object
@@ -171,16 +183,14 @@ class KeyIndex(dict):
             stored = tuple(map(self._checked.setdefault, checked, checked))
             if stored in self:
                 return self[stored]
-        key = object.__new__(StateKey)
-        object.__setattr__(key, "names", self.schema)
-        object.__setattr__(key, "values", stored)
-        self[stored] = key
+        key = self[stored] = _trusted_key(self.schema, stored)
         return key
 
     def _new_keys(self, rows: Sequence[tuple]) -> list[StateKey]:
         """``[self[values] for values in rows]`` for distinct tuples of
         strings none of which has a key yet, built a pass over all rows at a
-        time; each string not checked before is checked once."""
+        time; each string not checked before is checked once.  A refusal
+        names a bad value, not the first one in ``rows``."""
         if not self:
             self.schema = _check_schema(self.schema)
         if set(map(len, rows)) - {len(self.schema)}:  # a row of another width raises as a lookup does
@@ -188,9 +198,7 @@ class KeyIndex(dict):
         for value in set(chain.from_iterable(rows)).difference(self._checked):
             self._checked[value] = _clean_token(value, "factor value")
         stored = list(zip(*[map(self._checked.__getitem__, col) for col in zip(*rows)]))
-        keys = list(map(object.__new__, repeat(StateKey, len(stored))))
-        deque(map(StateKey.names.__set__, keys, repeat(self.schema)), maxlen=0)
-        deque(map(StateKey.values.__set__, keys, stored), maxlen=0)
+        keys = list(map(_trusted_key, repeat(self.schema), stored))
         self.update(zip(stored, keys))
         return keys
 
@@ -312,9 +320,7 @@ def build_count_table(samples: Iterable["StateKey"], schema: Sequence[str]) -> C
     per row when ``samples`` is not already a list or tuple.
 
     A samples file is counted more cheaply by ``ingest.count_samples_file``,
-    which makes no per-row sequence and keeps memory proportional to the
-    file's distinct lines; it calls this function only when it falls back to
-    ``read_samples_file``.
+    which makes no per-row sequence and does not call this function.
     """
     schema = _check_schema(schema)
     if not isinstance(samples, (list, tuple)):

@@ -34,7 +34,7 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,7 +47,7 @@ from .abstraction import (
     LabeledStream,
     _icd_prefix,
 )
-from .counts import CountTable, KeyIndex, StateKey, build_count_table
+from .counts import CountTable, KeyIndex, StateKey
 from .errors import InputError, InvariantViolation, MissingPrimaryDiagnosis, _check_int
 from .estimators import RiskWeights, _check_weight
 
@@ -80,7 +80,7 @@ DROP_NO_PRIMARY = "no-seq1-diagnosis"
 NOTE_DUPLICATE_PRIMARY = "duplicate-seq1-diagnosis"
 
 _FACTOR_PREFIX = "factor:"
-_BLOCK_ROWS = 4096  # counts-file rows parsed at a time
+_BLOCK_ROWS = 4096  # samples-file lines or counts-file records read at a time
 
 
 @dataclass
@@ -154,13 +154,12 @@ def _header(path, reader, what: str = "file") -> list[str]:
         raise InputError(f"{path}: empty {what} (missing header)") from None
 
 
-def _records(rows, width: int):
-    """Each of ``rows``, refusing one of another width.  Given the ``csv.reader``
-    itself, a blank line is a 0-field record; ``filter(None, reader)`` skips it."""
-    for row in rows:
-        if len(row) != width:
-            raise InputError(f"expected {width} fields, found {len(row)}")
-        yield row
+def _record(row, width: int):
+    """``row``, refused when it does not have ``width`` fields.  A blank line
+    is a 0-field record; ``filter(None, reader)`` skips it."""
+    if len(row) != width:
+        raise InputError(f"expected {width} fields, found {len(row)}")
+    return row
 
 
 def _positions(path, header, folded, names, what="column(s)") -> list[int]:
@@ -224,15 +223,14 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
     pointer per row.
 
     This is the per-row API.  To count a file, ``count_samples_file`` is
-    cheaper: it parses each distinct line once and keeps no per-row list; it
-    falls back to this reader for quoted fields and to name a bad line.
+    cheaper: it parses each distinct line once and keeps no per-row list.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         schema = _samples_schema(path, _header(path, reader, "samples file"))
         keys = KeyIndex(schema)
         with _at_line(path, lambda: reader.line_num):
-            samples = [keys[tuple(row)] for row in _records(reader, len(schema))]
+            samples = [keys[tuple(row)] for row in map(_record, reader, repeat(len(schema)))]
     return samples, schema
 
 
@@ -242,41 +240,42 @@ def count_samples_file(path) -> CountTable:
     except that a file with no data rows raises ``<path>: samples file has
     no data rows``.
 
-    The data lines are counted as raw text and each distinct line is parsed
-    and checked once, so the cost beyond reading the file, and the memory,
-    grow with the distinct lines, not the rows.  Lines that parse to the same
-    values (one row with different line endings, or none) count as one
-    state.  A file with a ``"`` in any data line (a quoted field may span
-    lines), or one that fails any check, is read again by
-    ``read_samples_file``, so quoting, the message and the line it names are
-    exactly that reader's.
+    The file is read once, a block of lines at a time.  Lines are counted as
+    raw text and each new one is parsed and checked once, in file order, so
+    beyond the read, time and memory grow with the distinct lines, not the
+    rows; lines that parse to equal values count as one state.  A line with
+    a ``"`` is parsed alone, unless a quoted field is still open at its end:
+    that record is read on through the next lines, and refused, since no
+    factor value may hold a line break.
     """
-    try:
-        table = _count_distinct_lines(path)
-    except (InputError, csv.Error):
-        table = None  # read again below, to report the error as the row reader does
-    if table is None:
-        samples, schema = read_samples_file(path)
-        if not samples:
-            raise InputError(f"{path}: samples file has no data rows")
-        table = build_count_table(samples, schema)
-    return table
-
-
-def _count_distinct_lines(path) -> CountTable | None:
-    """``count_samples_file`` without its fallback: ``None`` when a data line
-    holds a ``"``."""
     with _open_text(path) as fh:
-        schema = _samples_schema(path, _header(path, csv.reader(fh), "samples file"))
-        lines = Counter(fh)
-    if any('"' in line for line in lines):
-        return None
-    keys = KeyIndex(schema)
+        reader = csv.reader(fh)
+        schema = _samples_schema(path, _header(path, reader, "samples file"))
+        keys = KeyIndex(schema)
+        lines: Counter = Counter()  # each distinct data line, in file order
+        made: list[StateKey] = []  # the key of each of ``lines``
+        before = reader.line_num  # the lines before the block
+        while block := list(islice(fh, _BLOCK_ROWS)):
+            seen = len(lines)
+            lines.update(block)
+            new = list(islice(reversed(lines), len(lines) - seen))[::-1]  # in file order
+            plain = csv.reader([line for line in new if '"' not in line])
+            span = 1  # the lines of the record being checked
+            with _at_line(path, lambda: before + block.index(line) + span):
+                for line in new:
+                    if '"' not in line:
+                        row = next(plain)
+                    else:  # parsed alone, unless a quoted field is still open at the line's end
+                        row = next(csv.reader([line]))
+                        if row[-1][-1:] in ("\r", "\n"):
+                            quoted = csv.reader(chain(block[block.index(line):], fh))
+                            row, span = next(quoted), quoted.line_num
+                    made.append(keys[tuple(_record(row, len(schema)))])
+            before += len(block)
+    if not made:
+        raise InputError(f"{path}: samples file has no data rows")
     counts: dict[StateKey, int] = {}
-    # without quotes each line is one record; KeyIndex refuses a row of the
-    # wrong width as it refuses a bad value
-    for row, c in zip(csv.reader(lines), lines.values()):
-        key = keys[tuple(row)]
+    for key, c in zip(made, lines.values()):
         counts[key] = counts.get(key, 0) + c
     return CountTable(counts=counts, schema=schema)
 
@@ -285,59 +284,59 @@ def _count_distinct_lines(path) -> CountTable | None:
 # counts file
 
 
-def read_counts_file(path) -> CountTable:
-    """CSV of per-state counts: factor columns then a final ``count`` column.
-    Duplicate state rows are summed (multiset semantics).  A file that fails
-    a check is read again row by row, so its error is the row reader's."""
-    try:
-        return _sum_count_blocks(path)
-    except ValueError:  # an InputError too: read again, to report it as the row reader does
-        return _sum_count_rows(path)
-
-
 def _counts_schema(path, header) -> tuple[str, ...]:
     if len(header) < 2 or header[-1].strip().lower() != "count":
         raise InputError(f"{path}: counts header must be factor columns followed by a 'count' column")
     return tuple(col.strip().removeprefix(_FACTOR_PREFIX) for col in header[:-1])
 
 
-def _sum_count_blocks(path) -> CountTable:
-    """``read_counts_file`` without its fallback, which any ``ValueError`` calls for."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        schema = _counts_schema(path, _header(path, reader, "counts file"))
-        sums: dict[tuple, int] = {}  # stripped values -> summed count
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            *columns, raw = zip(*rows)
-            counts = list(map(int, raw))  # int() ignores surrounding whitespace
-            if set(map(len, rows)) != {len(schema) + 1} or min(counts) < 1:
-                raise ValueError("a ragged or blank record, or a count below 1")
-            for values, c in zip(zip(*[map(str.strip, col) for col in columns]), counts):
-                sums[values] = sums.get(values, 0) + c
-    keys = KeyIndex(schema)._new_keys(list(sums))  # no rows: CountTable refuses the empty table
-    return CountTable(counts=dict(zip(keys, sums.values())), schema=schema)
-
-
-def _sum_count_rows(path) -> CountTable:
+def read_counts_file(path) -> CountTable:
+    """CSV of per-state counts: factor columns then a final ``count`` column.
+    Duplicate state rows are summed (multiset semantics).  The file is read
+    once, a block of records at a time, each column of a block in one pass;
+    a block's new states are checked before the next block is read, and a
+    refused block is walked in file order to name its first bad record."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         schema = _counts_schema(path, _header(path, reader, "counts file"))
         keys = KeyIndex(schema)
-        counts: dict[StateKey, int] = {}
-        with _at_line(path, lambda: reader.line_num):
-            for row in _records(reader, len(schema) + 1):
-                key = keys[tuple([v.strip() for v in row[:-1]])]
-                raw = row[-1].strip()
-                try:
-                    c = int(raw)
-                except ValueError:
-                    raise InputError(f"count {raw!r} is not an integer") from None
-                if c < 1:
-                    raise InputError(f"count must be >= 1, got {c}")
-                counts[key] = counts.get(key, 0) + c
-        if not counts:
-            raise InputError(f"{path}: counts file has no data rows")
-    return CountTable(counts=counts, schema=schema)
+        sums: dict[tuple, int] = {}  # stripped values -> summed count, in file order
+        before = reader.line_num  # the lines before the block
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            seen = len(sums)
+            try:
+                *columns, raw = zip(*rows)
+                counts = list(map(int, raw))  # int() ignores surrounding whitespace
+                if set(map(len, rows)) != {len(schema) + 1} or min(counts) < 1:
+                    raise ValueError("a ragged or blank record, or a count below 1")
+                for values, c in zip(zip(*[map(str.strip, col) for col in columns]), counts):
+                    sums[values] = sums.get(values, 0) + c
+                keys._new_keys(list(islice(reversed(sums), len(sums) - seen))[::-1])  # new states, in file order
+            except ValueError:  # an InputError too
+                _raise_first_bad_count(path, rows, keys, before)
+            before = reader.line_num
+    if not sums:
+        raise InputError(f"{path}: counts file has no data rows")
+    # keys holds the key of each of sums, in the same order
+    return CountTable(counts=dict(zip(keys.values(), sums.values())), schema=schema)
+
+
+def _raise_first_bad_count(path, rows, keys: KeyIndex, line: int):
+    """Raise the error of the first bad record of ``rows``, a counts-file
+    block that starts after line ``line``."""
+    with _at_line(path, lambda: line):
+        for row in rows:
+            text = ",".join(row)  # a quoted field may hold line breaks
+            line += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+            keys[tuple([v.strip() for v in _record(row, len(keys.schema) + 1)[:-1]])]
+            raw = row[-1].strip()
+            try:
+                c = int(raw)
+            except ValueError:
+                raise InputError(f"count {raw!r} is not an integer") from None
+            if c < 1:
+                raise InputError(f"count must be >= 1, got {c}")
+    raise InvariantViolation(f"{path}: a refused block of counts has no bad record")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +398,7 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
         folded = [name.lower().strip() for name in header]
         label_at, s_at, t_at = _positions(path, header, folded, ("class", "successes", "trials"))
         with _at_line(path, lambda: reader.line_num):
-            for row in _records(filter(None, reader), len(header)):
+            for row in map(_record, filter(None, reader), repeat(len(header))):
                 label = row[label_at].strip()
                 try:
                     s = int(row[s_at].strip())
@@ -516,7 +515,7 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
         columns = _positions(path, header, header, key_columns, "key column(s)")
         keys = KeyIndex(key_columns)
         with _at_line(path, lambda: reader.line_num):
-            for row in _records(filter(None, reader), len(header)):
+            for row in map(_record, filter(None, reader), repeat(len(header))):
                 summary.rows_read += 1
                 values = tuple([row[i].strip() for i in columns])
                 if "" in values:
@@ -559,7 +558,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
                 )
         adm_at, seq_at, code_at = _positions(path, header, folded, names)
         with _at_line(path, lambda: reader.line_num):
-            for row_count, row in enumerate(_records(filter(None, reader), len(header)), 1):
+            for row_count, row in enumerate(map(_record, filter(None, reader), repeat(len(header))), 1):
                 adm = row[adm_at].strip()
                 if not adm:
                     raise InputError("empty admission id")

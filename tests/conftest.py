@@ -1,13 +1,17 @@
-"""Shared builders for states and count tables."""
+"""Shared builders for states and count tables, and the row-reader oracles
+of the two table file formats."""
 
 from __future__ import annotations
 
+import csv
 import random
+from itertools import repeat
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from blindspot import CountTable, StateKey
+import blindspot.ingest as ingest
+from blindspot import CountTable, InputError, KeyIndex, StateKey, build_count_table, read_samples_file
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,6 +47,37 @@ def random_multi_table(rng: random.Random, max_count: int = 12) -> CountTable:
         )
         counts[state] = counts.get(state, 0) + rng.randint(1, max_count)
     return CountTable(counts=counts, schema=("a", "b", "c"))
+
+
+def reference_count(path) -> CountTable:
+    """What ``count_samples_file`` gives, counted from ``read_samples_file``'s rows."""
+    samples, schema = read_samples_file(path)
+    if not samples:
+        raise InputError(f"{path}: samples file has no data rows")
+    return build_count_table(samples, schema)
+
+
+def reference_counts(path) -> CountTable:
+    """What ``read_counts_file`` gives, read and checked one record at a time."""
+    with ingest._open_text(path) as fh:
+        reader = csv.reader(fh)
+        schema = ingest._counts_schema(path, ingest._header(path, reader, "counts file"))
+        keys = KeyIndex(schema)
+        counts: dict[StateKey, int] = {}
+        with ingest._at_line(path, lambda: reader.line_num):
+            for row in map(ingest._record, reader, repeat(len(schema) + 1)):
+                key = keys[tuple([v.strip() for v in row[:-1]])]
+                raw = row[-1].strip()
+                try:
+                    c = int(raw)
+                except ValueError:
+                    raise InputError(f"count {raw!r} is not an integer") from None
+                if c < 1:
+                    raise InputError(f"count must be >= 1, got {c}")
+                counts[key] = counts.get(key, 0) + c
+        if not counts:
+            raise InputError(f"{path}: counts file has no data rows")
+    return CountTable(counts=counts, schema=schema)
 
 
 @st.composite

@@ -21,7 +21,7 @@ import blindspot
 from blindspot import read_abstraction_config, read_samples_file
 from blindspot.cli import _build_parser, main
 from blindspot.report import TOOL_VERSION, build_report, bundle_to_json
-from conftest import DATA_DIR
+from conftest import DATA_DIR, reference_counts
 
 COUNTS = str(DATA_DIR / "activity_counts.csv")
 WEIGHTS = str(DATA_DIR / "activity_weights.tsv")
@@ -892,7 +892,7 @@ class TestReport:
         out = tmp_path / "r.json"
         assert main(["report", "--counts", str(path), "--tau-max", "5", "--decompose-tau", "2",
                      "--dataset-id", "blocks", "--out", str(out)]) == 0
-        table = blindspot.ingest._sum_count_rows(path)
+        table = reference_counts(path)
         assert table.k_observed == 8633
         expected = bundle_to_json(build_report(table, 5, decomposition_taus=(2,), dataset_id="blocks"))
         assert out.read_text(encoding="utf-8") == expected

@@ -1,5 +1,6 @@
 """File formats and dataset adapters."""
 
+import contextlib
 import gzip
 import math
 import re
@@ -17,7 +18,6 @@ from blindspot import (
     FACTOR_ORDER,
     AbstractionConfig,
     InputError,
-    build_count_table,
     count_samples_file,
     SweepCell,
     abstract_stream,
@@ -35,7 +35,7 @@ from blindspot import (
     write_abstraction_config,
     write_samples_file,
 )
-from conftest import DATA_DIR, key
+from conftest import DATA_DIR, key, reference_count, reference_counts
 
 
 def raises_at(path, pattern):
@@ -127,13 +127,17 @@ class TestSamplesFile:
 PLAIN_CELLS = st.sampled_from(["x", "y", "10", "p;q"])
 ODD_CELLS = st.sampled_from(['"x"', '"p,q"', '"a""b"', '"a\nb"', '"a\r\nb"', " x", "x ", "", "x|y", "x\ty"])
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+# records a samples file refuses: blank, a field short or over, a refused
+# value, a quoted value that spans lines
+SAMPLE_FAULTS = ["", "x,x,x,x", "x|y", " x", '"p\nq"', '"p\r\nq\rr"']
 
 
 @st.composite
 def samples_texts(draw):
     """Samples files with repeated rows, mixed line endings, an optional final
     newline and, in about half of them, quoted, padded, blank, wrong-width or
-    refused cells and rows; a few have a bad or missing header."""
+    refused cells and rows; up to two more refused records at random lines;
+    a few have a bad or missing header."""
     width = draw(st.integers(1, 3))
     header = ",".join(f"factor:f{i}" for i in range(width))
     if draw(st.integers(0, 9)) == 0:
@@ -145,6 +149,8 @@ def samples_texts(draw):
     if odd:
         pool += ["", ",".join(["x"] * (width + 1))]
     lines = [header] + draw(st.lists(st.sampled_from(pool), max_size=30))
+    for bad in draw(st.lists(st.sampled_from(SAMPLE_FAULTS), max_size=2)):
+        lines.insert(draw(st.integers(1, len(lines))), bad)
     text = "".join(line + draw(ENDINGS) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
@@ -159,24 +165,27 @@ def outcome(read, path):
     return dict(table.counts), table.n, table.schema
 
 
-def reference_count(path):
-    samples, schema = read_samples_file(path)
-    if not samples:
-        raise InputError(f"{path}: samples file has no data rows")
-    return build_count_table(samples, schema)
+def count_opens(monkeypatch) -> list:
+    """The paths ``blindspot.ingest`` opens from now on, in order."""
+    opened = []
+    real = blindspot.ingest._open_text
+    monkeypatch.setattr(blindspot.ingest, "_open_text", lambda path: opened.append(path) or real(path))
+    return opened
 
 
 class TestCountSamplesFile:
     @settings(max_examples=300, deadline=None)
-    @given(text=samples_texts())
-    def test_equals_the_row_reader(self, tmp_path_factory, text):
+    @given(text=samples_texts(), block=st.integers(1, 3))
+    def test_equals_the_row_reader(self, tmp_path_factory, text, block):
         work = tmp_path_factory.mktemp("count")
         plain = work / "s.csv"
         plain.write_bytes(text.encode())
         packed = work / "s.csv.gz"
         packed.write_bytes(gzip.compress(text.encode()))
         for path in (plain, packed):
-            assert outcome(count_samples_file, path) == outcome(reference_count, path)
+            with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
+                got = outcome(count_samples_file, path)
+            assert got == outcome(reference_count, path)
 
     def test_lines_that_differ_only_in_their_ending_are_one_state(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -186,38 +195,47 @@ class TestCountSamplesFile:
         assert table.n == 5 and table.schema == ("a", "b")
         assert all(k.names is table.schema for k in table.counts)
 
-    def test_a_quoted_field_is_read_by_the_row_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_a_quoted_field_counts_as_its_value_in_one_read(self, tmp_path, monkeypatch, block):
         path = tmp_path / "s.csv"
         path.write_text('factor:a\nx\n"x"\n')
-        calls = []
-        monkeypatch.setattr(blindspot.ingest, "read_samples_file",
-                            lambda p: calls.append(p) or read_samples_file(p))
-        assert dict(count_samples_file(path).counts) == {key(a="x"): 2}
-        assert calls == [path]
-        path.write_text("factor:a\nx\nx\n")
-        assert dict(count_samples_file(path).counts) == {key(a="x"): 2}
-        assert calls == [path]
+        opened = count_opens(monkeypatch)
+        with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
+            table = count_samples_file(path)
+        assert dict(table.counts) == {key(a="x"): 2}
+        assert opened == [path]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_a_quoted_field_across_blocks_is_refused_at_its_last_line(self, tmp_path, block):
+        path = tmp_path / "s.csv"
+        # the record starts on line 3 and ends on line 5, past the end of its block
+        path.write_bytes(b'factor:a,factor:b\nx,y\nx,"p\nq\r\nr"\nx,y\n')
+        message = "line 5: factor value may not contain '\\n': 'p\\nq\\r\\nr'"
+        with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block), \
+                raises_at(path, re.escape(message) + "$"):
+            count_samples_file(path)
+        assert outcome(reference_count, path) == f"{path}: {message}"
 
 
-# count cells int() accepts, padded or quoted, one spanning two lines; value
+# count cells int() accepts, padded or quoted, three spanning two lines; value
 # cells padded, quoted or repeated
-COUNT_CELLS = st.sampled_from(["1", "2", " 3", "4 ", "+7", "1_000", '"5"', '"6\n"'])
+COUNT_CELLS = st.sampled_from(["1", "2", " 3", "4 ", "+7", "1_000", '"5"', '"6\n"', '"7\r\n"', '"8\r"'])
 VALUE_CELLS = st.sampled_from(["x", "y", "10", " x", "y ", '"x"', '"p,q"'])
-# at most one faulty record: a bad count, a bad value, a ragged or blank record
+# up to two faulty records: a bad count, a bad value (one spanning lines), a
+# ragged or blank record
 COUNT_FAULTS = ["0", "-2", "x", "1.5", ""]
-VALUE_FAULTS = ["", "x|y"]
+VALUE_FAULTS = ["", "x|y", '"p\r\nq"']
 
 
 @st.composite
 def counts_texts(draw):
     """Counts files of a few rows with repeated, padded and quoted states and
-    counts, and in most of them one faulty record at a random line."""
+    counts, and in most of them one or two faulty records at random lines."""
     width = draw(st.integers(1, 3))
     header = [draw(st.sampled_from([f"f{i}", f"factor:f{i}", f" f{i} "])) for i in range(width)]
     record = st.tuples(st.lists(VALUE_CELLS, min_size=width, max_size=width), COUNT_CELLS)
     records = [[*values, count] for values, count in draw(st.lists(record, max_size=12))]
-    fault = draw(st.sampled_from([None, "count", "value", "ragged", "blank"]))
-    if fault is not None:
+    for fault in draw(st.lists(st.sampled_from(["count", "value", "ragged", "blank"]), max_size=2)):
         bad = ["x"] * width + ["1"]
         if fault == "count":
             bad[-1] = draw(st.sampled_from(COUNT_FAULTS))
@@ -301,11 +319,36 @@ class TestCountsFile:
     @settings(max_examples=300, deadline=None)
     @given(text=counts_texts(), block=st.integers(1, 3))
     def test_equals_the_row_reader(self, tmp_path_factory, text, block):
-        path = tmp_path_factory.mktemp("counts") / "c.csv"
-        path.write_bytes(text.encode())
-        with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
-            got = counts_outcome(read_counts_file, path)
-        assert got == counts_outcome(blindspot.ingest._sum_count_rows, path)
+        work = tmp_path_factory.mktemp("counts")
+        plain = work / "c.csv"
+        plain.write_bytes(text.encode())
+        packed = work / "c.csv.gz"
+        packed.write_bytes(gzip.compress(text.encode()))
+        for path in (plain, packed):
+            with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
+                got = counts_outcome(read_counts_file, path)
+            assert got == counts_outcome(reference_counts, path)
+
+
+@pytest.mark.parametrize(
+    "read,body,refused",
+    [
+        (count_samples_file, "factor:a\nx\nx\n", False),
+        (count_samples_file, "factor:a\nx\nx|y\n", True),
+        (count_samples_file, 'factor:a\nx\n"x"\n', False),
+        (count_samples_file, 'factor:a\nx\n"x\ny"\n', True),
+        (read_counts_file, "a,count\nx,1\nx,2\n", False),
+        (read_counts_file, "a,count\nx,1\nx,0\n", True),
+        (read_counts_file, 'a,count\n"x",1\n"x\ny",2\n', True),
+    ],
+)
+def test_a_table_reader_opens_its_file_once(tmp_path, monkeypatch, read, body, refused):
+    path = tmp_path / "t.csv"
+    path.write_text(body)
+    opened = count_opens(monkeypatch)
+    with pytest.raises(InputError) if refused else contextlib.nullcontext():
+        read(path)
+    assert opened == [path]
 
 
 # each CSV reader: what its missing-header error calls the file, a header, and
