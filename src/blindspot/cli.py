@@ -49,6 +49,7 @@ from .estimators import (
 from .ingest import (
     PLACEMENTS,
     _at_line,
+    _naming_path,
     _write_config,
     _write_samples,
     count_samples_file,
@@ -312,7 +313,7 @@ def _cmd_histogram(args) -> int:
 def _cmd_wilson(args) -> int:
     rows = []
     for lineno, label, s, t in read_class_accuracies(args.input):
-        with _at_line(args.input, lambda: lineno):
+        with _naming_path(args.input), _at_line(lambda: lineno):
             lower, upper = wilson_interval(s, t, args.confidence)
         rows.append((label, s, t, s / t, lower, upper))
     with _out_stream(args.out) as fh:
@@ -324,10 +325,8 @@ def _cmd_simulate(args) -> int:
     cells, spec_trials, spec_seed = read_sweep_spec(args.spec)
     trials = args.trials if args.trials is not None else (spec_trials if spec_trials is not None else 100)
     seed = args.seed if args.seed is not None else (spec_seed if spec_seed is not None else 0)
-    try:
+    with _naming_path(args.spec):  # a cell too large for memory
         result = run_sweep(cells, trials, seed)
-    except InputError as exc:  # a cell too large for memory
-        raise InputError(f"{args.spec}: {exc}") from None
     with _out_stream(args.out) as fh:
         write_csv(fh, sweep_table(result))
     if args.json is not None:

@@ -20,8 +20,8 @@ header's width.  A blank line is a 0-field record in a samples or counts
 file and is skipped in the other CSVs, which refuse a header that names a
 column they read twice.  Paths ending in ``.gz`` are decompressed
 transparently on read.  Every reader's ``InputError`` names the file; one
-about a record also names the physical line on which the record ends
-(``<path>: line <n>: <message>``), and one about a config value its key.
+about a record (a ``csv`` refusal too) names the physical line on which it
+ends (``<path>: line <n>: <message>``), and one about a config value its key.
 """
 
 from __future__ import annotations
@@ -130,11 +130,11 @@ class IngestionSummary:
 
 @contextmanager
 def _naming_path(path):
-    """Re-raise what a damaged or undecodable file throws as an
-    ``InputError`` that names the file."""
+    """Re-raise an ``InputError``, or what a damaged or undecodable file
+    throws, as an ``InputError`` that names the file."""
     try:
         yield
-    except (UnicodeDecodeError, csv.Error, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+    except (InputError, UnicodeDecodeError, csv.Error, EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -146,12 +146,12 @@ def _open_text(path):
         yield fh
 
 
-def _header(path, reader, what: str = "file") -> list[str]:
+def _header(reader, what: str = "file") -> list[str]:
     """The first record of a CSV ``reader``: its file's header."""
     try:
         return next(reader)
     except StopIteration:
-        raise InputError(f"{path}: empty {what} (missing header)") from None
+        raise InputError(f"empty {what} (missing header)") from None
 
 
 def _record(row, width: int):
@@ -162,28 +162,28 @@ def _record(row, width: int):
     return row
 
 
-def _positions(path, header, folded, names, what="column(s)") -> list[int]:
+def _positions(header, folded, names, what="column(s)") -> list[int]:
     """Where each of ``names`` stands in ``folded``, the header's names as
     its format compares them.  A missing name is refused, and so is one the
     header holds twice: which copy to read would be a guess."""
     missing = [name for name in names if name not in folded]
     if missing:
-        raise InputError(f"{path}: missing {what} {missing}; header has {header}")
+        raise InputError(f"missing {what} {missing}; header has {header}")
     for name in names:
         if folded.count(name) > 1:
-            raise InputError(f"{path}: column {name!r} appears more than once; header has {header}")
+            raise InputError(f"column {name!r} appears more than once; header has {header}")
     return [folded.index(name) for name in names]
 
 
 @contextmanager
-def _at_line(path, line):
-    """Re-raise an ``InputError`` from a reader's record loop with the file
-    and line in front.  ``line()`` gives the physical line on which the
-    record being read ends; it is called only when the loop fails."""
+def _at_line(line):
+    """Re-raise an ``InputError`` or ``csv.Error`` from a record loop with its
+    line in front.  ``line()`` gives the physical line on which the record
+    being read ends; it is called only when the loop fails."""
     try:
         yield
-    except InputError as exc:
-        raise InputError(f"{path}: line {line()}: {exc}") from None
+    except (InputError, csv.Error) as exc:
+        raise InputError(f"line {line()}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,10 @@ def _write_samples(fh, samples: Iterable[StateKey], schema: Sequence[str]) -> No
         writer.writerow(list(key.values))
 
 
-def _samples_schema(path, header) -> tuple[str, ...]:
+def _samples_schema(header) -> tuple[str, ...]:
     for col in header:
         if not col.startswith(_FACTOR_PREFIX):
-            raise InputError(f"{path}: samples header column {col!r} must start with {_FACTOR_PREFIX!r}")
+            raise InputError(f"samples header column {col!r} must start with {_FACTOR_PREFIX!r}")
     return tuple(col[len(_FACTOR_PREFIX):] for col in header)
 
 
@@ -227,9 +227,9 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        schema = _samples_schema(path, _header(path, reader, "samples file"))
+        schema = _samples_schema(_header(reader, "samples file"))
         keys = KeyIndex(schema)
-        with _at_line(path, lambda: reader.line_num):
+        with _at_line(lambda: reader.line_num):
             samples = [keys[tuple(row)] for row in map(_record, reader, repeat(len(schema)))]
     return samples, schema
 
@@ -237,20 +237,20 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
 def count_samples_file(path) -> CountTable:
     """The ``CountTable`` of a canonical samples CSV: equal to
     ``build_count_table(*read_samples_file(path))``, with the same errors,
-    except that a file with no data rows raises ``<path>: samples file has
-    no data rows``.
+    but for ``samples file has no data rows`` and a ``csv`` refusal in a
+    record that spans lines, which is named by the record's first line.
 
     The file is read once, a block of lines at a time.  Lines are counted as
     raw text and each new one is parsed and checked once, in file order, so
     beyond the read, time and memory grow with the distinct lines, not the
-    rows; lines that parse to equal values count as one state.  A line with
-    a ``"`` is parsed alone, unless a quoted field is still open at its end:
-    that record is read on through the next lines, and refused, since no
-    factor value may hold a line break.
+    rows; lines that parse to equal values count as one state.  A block's
+    new lines go through one ``csv.reader``; a record that runs past its
+    line (a quoted field still open at its end) is read on through the
+    file, and refused, since no factor value may hold a line break.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        schema = _samples_schema(path, _header(path, reader, "samples file"))
+        schema = _samples_schema(_header(reader, "samples file"))
         keys = KeyIndex(schema)
         lines: Counter = Counter()  # each distinct data line, in file order
         made: list[StateKey] = []  # the key of each of ``lines``
@@ -259,21 +259,18 @@ def count_samples_file(path) -> CountTable:
             seen = len(lines)
             lines.update(block)
             new = list(islice(reversed(lines), len(lines) - seen))[::-1]  # in file order
-            plain = csv.reader([line for line in new if '"' not in line])
-            span = 1  # the lines of the record being checked
-            with _at_line(path, lambda: before + block.index(line) + span):
-                for line in new:
-                    if '"' not in line:
-                        row = next(plain)
-                    else:  # parsed alone, unless a quoted field is still open at the line's end
-                        row = next(csv.reader([line]))
-                        if row[-1][-1:] in ("\r", "\n"):
-                            quoted = csv.reader(chain(block[block.index(line):], fh))
-                            row, span = next(quoted), quoted.line_num
+            rows = csv.reader(chain(new, ["\n"]))  # a record still open at new's end reads the "\n" too
+            read, span = 0, 1  # the lines of new before the record being checked; the lines it spans
+            with _at_line(lambda: before + block.index(new[read]) + span):
+                for row in islice(rows, len(new)):
+                    if rows.line_num > read + 1:  # it ran past its line: read it on in the file
+                        quoted = csv.reader(chain(block[block.index(new[read]):], fh))
+                        row, span = next(quoted), quoted.line_num
                     made.append(keys[tuple(_record(row, len(schema)))])
+                    read += 1
             before += len(block)
-    if not made:
-        raise InputError(f"{path}: samples file has no data rows")
+        if not made:
+            raise InputError("samples file has no data rows")
     counts: dict[StateKey, int] = {}
     for key, c in zip(made, lines.values()):
         counts[key] = counts.get(key, 0) + c
@@ -284,9 +281,9 @@ def count_samples_file(path) -> CountTable:
 # counts file
 
 
-def _counts_schema(path, header) -> tuple[str, ...]:
+def _counts_schema(header) -> tuple[str, ...]:
     if len(header) < 2 or header[-1].strip().lower() != "count":
-        raise InputError(f"{path}: counts header must be factor columns followed by a 'count' column")
+        raise InputError("counts header must be factor columns followed by a 'count' column")
     return tuple(col.strip().removeprefix(_FACTOR_PREFIX) for col in header[:-1])
 
 
@@ -298,33 +295,36 @@ def read_counts_file(path) -> CountTable:
     refused block is walked in file order to name its first bad record."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        schema = _counts_schema(path, _header(path, reader, "counts file"))
+        schema = _counts_schema(_header(reader, "counts file"))
         keys = KeyIndex(schema)
         sums: dict[tuple, int] = {}  # stripped values -> summed count, in file order
         before = reader.line_num  # the lines before the block
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            seen = len(sums)
-            try:
-                *columns, raw = zip(*rows)
-                counts = list(map(int, raw))  # int() ignores surrounding whitespace
-                if set(map(len, rows)) != {len(schema) + 1} or min(counts) < 1:
-                    raise ValueError("a ragged or blank record, or a count below 1")
-                for values, c in zip(zip(*[map(str.strip, col) for col in columns]), counts):
-                    sums[values] = sums.get(values, 0) + c
-                keys._new_keys(list(islice(reversed(sums), len(sums) - seen))[::-1])  # new states, in file order
-            except ValueError:  # an InputError too
-                _raise_first_bad_count(path, rows, keys, before)
-            before = reader.line_num
-    if not sums:
-        raise InputError(f"{path}: counts file has no data rows")
+        with _at_line(lambda: reader.line_num):  # a csv.Error while a block is read
+            while rows := list(islice(reader, _BLOCK_ROWS)):
+                seen = len(sums)
+                try:
+                    *columns, raw = zip(*rows)
+                    counts = list(map(int, raw))  # int() ignores surrounding whitespace
+                    if set(map(len, rows)) != {len(schema) + 1} or min(counts) < 1:
+                        raise ValueError("a ragged or blank record, or a count below 1")
+                    for values, c in zip(zip(*[map(str.strip, col) for col in columns]), counts):
+                        sums[values] = sums.get(values, 0) + c
+                    keys._new_keys(list(islice(reversed(sums), len(sums) - seen))[::-1])  # new, in file order
+                except ValueError:  # an InputError too: the block is refused
+                    break
+                before = reader.line_num
+        if rows:  # the refused block
+            _raise_first_bad_count(rows, keys, before)
+        if not sums:
+            raise InputError("counts file has no data rows")
     # keys holds the key of each of sums, in the same order
     return CountTable(counts=dict(zip(keys.values(), sums.values())), schema=schema)
 
 
-def _raise_first_bad_count(path, rows, keys: KeyIndex, line: int):
+def _raise_first_bad_count(rows, keys: KeyIndex, line: int):
     """Raise the error of the first bad record of ``rows``, a counts-file
     block that starts after line ``line``."""
-    with _at_line(path, lambda: line):
+    with _at_line(lambda: line):
         for row in rows:
             text = ",".join(row)  # a quoted field may hold line breaks
             line += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
@@ -336,7 +336,7 @@ def _raise_first_bad_count(path, rows, keys: KeyIndex, line: int):
                 raise InputError(f"count {raw!r} is not an integer") from None
             if c < 1:
                 raise InputError(f"count must be >= 1, got {c}")
-    raise InvariantViolation(f"{path}: a refused block of counts has no bad record")
+    raise InvariantViolation("a refused block of counts has no bad record")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def read_risk_weights(path, schema: Sequence[str]) -> RiskWeights:
     keys = KeyIndex(schema)
     weights: dict[StateKey, float] = {}
     default = None
-    with _open_text(path) as fh, _at_line(path, lambda: lineno):
+    with _open_text(path) as fh, _at_line(lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -394,10 +394,10 @@ def read_class_accuracies(path) -> list[tuple[int, str, int, int]]:
     rows = []
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        header = _header(path, reader)
+        header = _header(reader)
         folded = [name.lower().strip() for name in header]
-        label_at, s_at, t_at = _positions(path, header, folded, ("class", "successes", "trials"))
-        with _at_line(path, lambda: reader.line_num):
+        label_at, s_at, t_at = _positions(header, folded, ("class", "successes", "trials"))
+        with _at_line(lambda: reader.line_num):
             for row in map(_record, filter(None, reader), repeat(len(header))):
                 label = row[label_at].strip()
                 try:
@@ -418,7 +418,7 @@ def read_kv_file(path, keys: Sequence[str]) -> dict[str, str]:
     Blank lines and ``#`` lines are skipped; a malformed line, an unknown key
     or a duplicate key is an error at its line."""
     out: dict[str, str] = {}
-    with _open_text(path) as fh, _at_line(path, lambda: lineno):
+    with _open_text(path) as fh, _at_line(lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -511,10 +511,10 @@ def ingest_samples_csv(path, key_columns: Sequence[str]) -> tuple[list[StateKey]
     samples: list[StateKey] = []
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        header = _header(path, reader)
-        columns = _positions(path, header, header, key_columns, "key column(s)")
+        header = _header(reader)
+        columns = _positions(header, header, key_columns, "key column(s)")
         keys = KeyIndex(key_columns)
-        with _at_line(path, lambda: reader.line_num):
+        with _at_line(lambda: reader.line_num):
             for row in map(_record, filter(None, reader), repeat(len(header))):
                 summary.rows_read += 1
                 values = tuple([row[i].strip() for i in columns])
@@ -547,17 +547,15 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
     row_count = 0
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        header = _header(path, reader)
+        header = _header(reader)
         folded = [name.lower() for name in header]
         names = []  # of each column, the first of its names the header holds
         for candidates in (("hadm_id", "admission_id"), ("seq_num",), ("icd_code",)):
             names.append(next((name for name in candidates if name in folded), None))
             if names[-1] is None:
-                raise InputError(
-                    f"{path}: missing required column (one of {list(candidates)}); header has {header}"
-                )
-        adm_at, seq_at, code_at = _positions(path, header, folded, names)
-        with _at_line(path, lambda: reader.line_num):
+                raise InputError(f"missing required column (one of {list(candidates)}); header has {header}")
+        adm_at, seq_at, code_at = _positions(header, folded, names)
+        with _at_line(lambda: reader.line_num):
             for row_count, row in enumerate(map(_record, filter(None, reader), repeat(len(header))), 1):
                 adm = row[adm_at].strip()
                 if not adm:
@@ -586,7 +584,7 @@ def ingest_diagnoses(path) -> tuple[list[StateKey], IngestionSummary]:
             summary.skipped.append(f"skipping admission: {exc}")
             summary.drop(DROP_NO_PRIMARY)
             continue
-        with _at_line(path, lambda: primary_line[adm]):
+        with _naming_path(path), _at_line(lambda: primary_line[adm]):
             samples.append(keys[(prefix,)])
         summary.rows_kept += 1
     summary.emitted = len(samples)
@@ -609,7 +607,7 @@ _SAMPLE_RATE_HZ = 100.0
 
 def _scan_raw_file(path) -> None:
     # slow diagnostic pass, run only after the fast parser failed
-    with _open_text(path) as fh, _at_line(path, lambda: lineno):
+    with _open_text(path) as fh, _at_line(lambda: lineno):
         for lineno, line in enumerate(fh, 1):
             tokens = line.split("#", 1)[0].split()  # np.loadtxt's comment rule
             if not tokens:

@@ -26,7 +26,7 @@ from .counts import CountTable, StateKey
 from .errors import InputError, InvariantViolation, _check_float, _check_int
 # mass_estimate is not called here; the benchmark's --trace 1 times it on this module
 from .estimators import ESTIMATOR_MODES, _check_tau, _mass, mass_estimate
-from .ingest import _kv_int, _kv_list, read_kv_file
+from .ingest import _kv_int, _kv_list, _naming_path, read_kv_file
 
 __all__ = [
     "GENERATOR_NAME",
@@ -305,7 +305,7 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
             return None
         return _check_int(_kv_int(kv, key), key, least)
 
-    try:
+    with _naming_path(path):
         families = listed("family", str, "names")
         combos: list[tuple[str, tuple[tuple[str, float], ...]]] = []
         for family in families:
@@ -328,8 +328,6 @@ def read_sweep_spec(path) -> tuple[list[SweepCell], int | None, int | None]:
             if param and param[1] in kv and family not in families:
                 raise InputError(f"{param[1]} needs family {family}")
         return cells, single("trials", 1), single("seed", 0)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,10 @@ def reference_counts(path) -> CountTable:
     """What ``read_counts_file`` gives, read and checked one record at a time."""
     with ingest._open_text(path) as fh:
         reader = csv.reader(fh)
-        schema = ingest._counts_schema(path, ingest._header(path, reader, "counts file"))
+        schema = ingest._counts_schema(ingest._header(reader, "counts file"))
         keys = KeyIndex(schema)
         counts: dict[StateKey, int] = {}
-        with ingest._at_line(path, lambda: reader.line_num):
+        with ingest._at_line(lambda: reader.line_num):
             for row in map(ingest._record, reader, repeat(len(schema) + 1)):
                 key = keys[tuple([v.strip() for v in row[:-1]])]
                 raw = row[-1].strip()
@@ -76,7 +76,7 @@ def reference_counts(path) -> CountTable:
                     raise InputError(f"count must be >= 1, got {c}")
                 counts[key] = counts.get(key, 0) + c
         if not counts:
-            raise InputError(f"{path}: counts file has no data rows")
+            raise InputError("counts file has no data rows")
     return CountTable(counts=counts, schema=schema)
 
 

@@ -281,17 +281,23 @@ class TestExitCodes:
         assert "\ufeff" not in outputs[1].out + outputs[1].err
 
     @pytest.mark.parametrize(
-        "flag, text",
-        [("--samples", 'factor:a\nx\n"{big}"\n'), ("--counts", 'a,count\nx,1\n"{big}",2\n')],
-        ids=["samples", "counts"],
+        "argv, text",
+        [
+            (["histogram", "--samples"], 'factor:a\nx\n"{big}"\n'),
+            (["histogram", "--counts"], 'a,count\nx,1\n"{big}",2\n'),
+            (["wilson", "--input"], 'class,successes,trials\nA,1,2\n"{big}",1,2\n'),
+            (["ingest", "--key-columns", "a", "--samples-csv"], 'a,b\nx,y\n"{big}",y\n'),
+            (["ingest", "--diagnoses"], 'hadm_id,seq_num,icd_code\n1,1,41071\n2,1,"{big}"\n'),
+        ],
+        ids=["samples", "counts", "wilson", "samples-csv", "diagnoses"],
     )
-    def test_oversized_csv_field_exits_2(self, capsys, tmp_path, flag, text):
+    def test_oversized_csv_field_exits_2(self, capsys, tmp_path, argv, text):
         path = tmp_path / "big.csv"
         path.write_text(text.format(big="x" * 200_000))
-        assert main(["histogram", flag, str(path)]) == 2
+        assert main([*argv, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"blindspot: error: {path}: field larger than field limit" in captured.err
+        assert captured.err == f"blindspot: error: {path}: line 3: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_damaged_gzip_exits_2(self, capsys, tmp_path, damage):

@@ -128,8 +128,9 @@ PLAIN_CELLS = st.sampled_from(["x", "y", "10", "p;q"])
 ODD_CELLS = st.sampled_from(['"x"', '"p,q"', '"a""b"', '"a\nb"', '"a\r\nb"', " x", "x ", "", "x|y", "x\ty"])
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 # records a samples file refuses: blank, a field short or over, a refused
-# value, a quoted value that spans lines
-SAMPLE_FAULTS = ["", "x,x,x,x", "x|y", " x", '"p\nq"', '"p\r\nq\rr"']
+# value, a quoted value that spans lines, a quote left open into the next
+# lines or to the end of the file
+SAMPLE_FAULTS = ["", "x,x,x,x", "x|y", " x", '"p\nq"', '"p\r\nq\rr"', '"p']
 
 
 @st.composite
@@ -214,6 +215,22 @@ class TestCountSamplesFile:
         with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block), \
                 raises_at(path, re.escape(message) + "$"):
             count_samples_file(path)
+        assert outcome(reference_count, path) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize("lines, message", [
+        # the line after the open quote repeats line 2, so it is not among
+        # the block's new lines; the record still ends on line 5
+        (['x,y', '"p,q', 'x,y', 'r,s'], "line 5: expected 2 fields, found 1"),
+        (['x,y', '"p,q', 'x,y"', 'r,s', 'x,y'], "line 4: expected 2 fields, found 1"),
+        (['"p,q', 'x,y'], "line 3: expected 2 fields, found 1"),
+        (['x,"y'], "line 2: factor value must be non-empty without leading/trailing whitespace: 'y\\n'"),
+    ], ids=["repeat", "closed", "to-eof", "last-field"])
+    def test_a_record_that_runs_past_its_line_is_refused_where_it_ends(self, tmp_path, block, lines, message):
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{line}\n" for line in ["factor:a,factor:b", *lines]))
+        with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
+            assert outcome(count_samples_file, path) == f"{path}: {message}"
         assert outcome(reference_count, path) == f"{path}: {message}"
 
 
@@ -402,6 +419,42 @@ def test_a_column_the_reader_does_not_read_may_repeat(tmp_path, fmt):
     repeated = read(path)
     path.write_text(f"{header},u,v\n{record},1,2\n")
     assert read(path) == repeated
+
+
+# every file reader with files it refuses: each CSV reader a bad header, a bad
+# record, a field over the csv module's limit and an empty file; the others a
+# bad record, or a bad value where their records are read by key
+REFUSED_FILES = [
+    *[
+        pytest.param(read, text, id=f"{fmt}-{fault}")
+        for fmt, (read, _, header, record) in {
+            **CSV_READERS, "count-samples": (count_samples_file, None, "factor:a,factor:b", "x,y"),
+        }.items()
+        for fault, text in {
+            "header": f"p,q\n{record}\n",
+            "record": f"{header}\n{record}\n{record},z\n",
+            "field": f'{header}\n{record}\n"{"x" * 200_000}"{"," * header.count(",")}\n',
+            "empty": "",
+        }.items()
+    ],
+    pytest.param(lambda path: read_risk_weights(path, ("a",)), "x\t1\ny\n", id="weights-record"),
+    pytest.param(lambda path: read_kv_file(path, ("a",)), "a = 1\nb = 2\n", id="kv-record"),
+    pytest.param(read_abstraction_config, "tilt_bins = x\n", id="config-value"),
+    pytest.param(read_sweep_spec, "family = zipf\nK = 3\nn = 4\ntau = 1\n", id="spec-value"),
+    pytest.param(read_sweep_spec, "", id="spec-empty"),
+    pytest.param(lambda path: ingest_pamap2([path], [101]), "1 2 3\n", id="pamap2-record"),
+]
+
+
+@pytest.mark.parametrize("read, text", REFUSED_FILES)
+def test_a_refused_file_is_named_once_and_its_line_at_most_once(tmp_path, read, text):
+    path = tmp_path / "subject101.dat"  # the pamap2 reader wants a subject id in the name
+    path.write_text(text)
+    with pytest.raises(InputError) as refused:
+        read(path)
+    message = str(refused.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+    assert message.count("line ") <= 1
 
 
 class TestRiskWeights:
