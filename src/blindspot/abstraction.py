@@ -33,10 +33,7 @@ __all__ = [
     "preset",
     "make_windows",
     "tilt_bin",
-    "gyro_energy",
-    "mean_angular_rate",
     "fit_energy_edges",
-    "energy_bin",
     "fit_edges",
     "abstract_window",
     "abstract_stream",
@@ -232,29 +229,17 @@ def _tilt_of_mean(mu: np.ndarray, bins: int, label) -> int:
     return min(bins - 1, int(math.floor(x + _EDGE_GUARD)))
 
 
-def gyro_energy(window: SensorWindow) -> float:
-    """Mean squared angular-rate norm over the window: (1/L) * sum ||w_t||^2."""
-    g = window.gyro
-    return float(np.mean(np.sum(g * g, axis=1)))
-
-
-def mean_angular_rate(window: SensorWindow) -> float:
-    """Mean angular-rate norm over the window: (1/L) * sum ||w_t||."""
-    return float(np.mean(np.linalg.norm(window.gyro, axis=1)))
-
-
 class _Quantile(NamedTuple):
-    """A factor that bins a per-window gyro value against quantile edges."""
+    """A factor that bins the window mean of a per-sample gyro statistic."""
 
     bins: str  # the AbstractionConfig field with the bin count
     edges: str  # the AbstractionConfig field with the fitted edges
-    of_window: Callable[[SensorWindow], float]  # the reference per-window value
-    per_sample: Callable[[np.ndarray], np.ndarray]  # (L, 3) gyro -> (L,); its window mean is of_window
+    per_sample: Callable[[np.ndarray], np.ndarray]  # (L, 3) gyro -> (L,)
 
 
 _QUANTILE_FACTORS = {
-    FACTOR_ENERGY: _Quantile("energy_bins", "energy_edges", gyro_energy, lambda g: np.sum(g * g, axis=1)),
-    FACTOR_RATE: _Quantile("rate_bins", "rate_edges", mean_angular_rate, lambda g: np.linalg.norm(g, axis=1)),
+    FACTOR_ENERGY: _Quantile("energy_bins", "energy_edges", lambda g: np.sum(g * g, axis=1)),
+    FACTOR_RATE: _Quantile("rate_bins", "rate_edges", lambda g: np.linalg.norm(g, axis=1)),
 }
 
 
@@ -288,32 +273,6 @@ def fit_energy_edges(values: Iterable[float], bins: int) -> tuple[float, ...]:
         if edges[i] < edges[i - 1]:
             edges[i] = edges[i - 1]
     return tuple(edges)
-
-
-def energy_bin(value: float, edges: Sequence[float]) -> int:
-    """Bin index for ``value`` against fitted edges.
-
-    Bin 0 covers everything up to edges[1]; bin j covers (edges[j],
-    edges[j+1]]; values beyond the last edge clamp into the top bin and values
-    below the first edge clamp into bin 0.  With all edges equal every value
-    lands in bin 0.
-    """
-    edges = tuple(float(e) for e in edges)
-    if len(edges) < 2:
-        raise InputError("edges must contain at least two values")
-    for a, b in zip(edges, edges[1:]):
-        if not a <= b:  # a NaN edge fails too
-            raise InputError("edges must be nondecreasing")
-    value = float(value)
-    q = len(edges) - 1
-    if edges[0] == edges[-1]:
-        # degenerate fit (constant sample): no ordering information, so every
-        # value shares bin 0 rather than splitting on which side it falls
-        return 0
-    for j in range(q):
-        if value <= edges[j + 1]:
-            return j
-    return q - 1
 
 
 @dataclass(frozen=True)
@@ -400,7 +359,7 @@ def fit_edges(
     so train-only fitting just needs the training prefix first.
     """
     return _fit_missing_edges(config, len(windows), fit_fraction,
-                              lambda f, m: [_QUANTILE_FACTORS[f].of_window(w) for w in windows[:m]])
+                              lambda f, m: [_QUANTILE_FACTORS[f].per_sample(w.gyro).mean() for w in windows[:m]])
 
 
 def _fit_missing_edges(config: AbstractionConfig, windows: int, fit_fraction: float,
@@ -422,20 +381,15 @@ def _fit_missing_edges(config: AbstractionConfig, windows: int, fit_fraction: fl
 
 
 def abstract_window(window: SensorWindow, config: AbstractionConfig) -> StateKey:
-    """Map a window to its operational state under ``config``."""
-    values = []
-    for factor in config.factors:
-        if factor == FACTOR_ACTIVITY:
-            values.append(window.label)
-        elif factor == FACTOR_TILT:
-            values.append(tilt_bin(window, config.tilt_bins))
-        else:
-            q = _QUANTILE_FACTORS[factor]
-            edges = getattr(config, q.edges)
-            if edges is None:
-                raise InputError(f"{factor} factor enabled but {q.edges} not fitted")
-            values.append(energy_bin(q.of_window(window), edges))
-    return StateKey(config.factors, values)
+    """Map a window to its operational state under ``config``, by the rules
+    ``abstract_stream`` applies to each window of a stream."""
+    for factor, q in _QUANTILE_FACTORS.items():
+        if factor in config.factors and getattr(config, q.edges) is None:
+            raise InputError(f"{factor} factor enabled but {q.edges} not fitted")
+    features = {f: np.array([q.per_sample(window.gyro).mean()])
+                for f, q in _QUANTILE_FACTORS.items() if f in config.factors}
+    features[FACTOR_TILT] = [window.acc.mean(axis=0)]
+    return _states(config, [window.label], features)[0]
 
 
 def _window_means(per_sample: np.ndarray, length: int, hop: int, starts: np.ndarray) -> np.ndarray:
@@ -457,8 +411,9 @@ def _window_features(stream: LabeledStream, length: int, hop: int, starts: np.nd
 
 
 def _bins(values: np.ndarray, edges: tuple[float, ...]) -> list[str]:
-    """``energy_bin`` of each value against validated edges, as the text a
-    key stores; equal bins share one string."""
+    """The bin of each value against validated edges, as the text a key
+    stores; equal bins share one string.  Bin j covers (edges[j], edges[j+1]],
+    clamped at both ends; all edges equal put every value in bin 0."""
     q = len(edges) - 1
     if edges[0] == edges[-1]:
         return ["0"] * len(values)
@@ -498,6 +453,12 @@ def abstract_stream(
     features = _window_features(stream, length, hop, starts, config.factors)
     config = _fit_missing_edges(config, starts.size, fit_fraction, lambda f, m: features[f][:m])
     labels = [_plain(label) for label in stream.labels[starts].tolist()]
+    return config, _states(config, labels, features)
+
+
+def _states(config: AbstractionConfig, labels: list, features: dict) -> list[StateKey]:
+    """The state of each window under ``config`` from its label and its
+    ``_window_features`` inputs; equal states share one key object."""
     # KeyIndex finds a row without a check only when it is made of strings
     # equal to ones it has checked, so every column is of strings
     columns = []
@@ -511,7 +472,7 @@ def abstract_stream(
         else:
             columns.append(_bins(features[factor], getattr(config, _QUANTILE_FACTORS[factor].edges)))
     keys = KeyIndex(config.factors)
-    return config, [keys[values] for values in zip(*columns)]
+    return [keys[values] for values in zip(*columns)]
 
 
 @dataclass(frozen=True)

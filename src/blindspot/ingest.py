@@ -237,16 +237,16 @@ def read_samples_file(path) -> tuple[list[StateKey], tuple[str, ...]]:
 def count_samples_file(path) -> CountTable:
     """The ``CountTable`` of a canonical samples CSV: equal to
     ``build_count_table(*read_samples_file(path))``, with the same errors,
-    but for ``samples file has no data rows`` and a ``csv`` refusal in a
-    record that spans lines, which is named by the record's first line.
+    but for ``samples file has no data rows``.
 
     The file is read once, a block of lines at a time.  Lines are counted as
     raw text and each new one is parsed and checked once, in file order, so
     beyond the read, time and memory grow with the distinct lines, not the
     rows; lines that parse to equal values count as one state.  A block's
-    new lines go through one ``csv.reader``; a record that runs past its
-    line (a quoted field still open at its end) is read on through the
-    file, and refused, since no factor value may hold a line break.
+    new lines go through one ``csv.reader``.  A record that runs past its
+    line (a quoted field still open at its end), or that this reader
+    refuses, is read again in the file from its first line and refused
+    where it ends there; no factor value may hold a line break.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
@@ -260,14 +260,18 @@ def count_samples_file(path) -> CountTable:
             lines.update(block)
             new = list(islice(reversed(lines), len(lines) - seen))[::-1]  # in file order
             rows = csv.reader(chain(new, ["\n"]))  # a record still open at new's end reads the "\n" too
-            read, span = 0, 1  # the lines of new before the record being checked; the lines it spans
-            with _at_line(lambda: before + block.index(new[read]) + span):
-                for row in islice(rows, len(new)):
-                    if rows.line_num > read + 1:  # it ran past its line: read it on in the file
-                        quoted = csv.reader(chain(block[block.index(new[read]):], fh))
-                        row, span = next(quoted), quoted.line_num
+            on = None  # the reader of a record read on in the file from its first line
+            with _at_line(lambda: before + block.index(new[read]) + (on.line_num if on else 1)):
+                for read in range(len(new)):  # the lines of new before the record
+                    try:
+                        row = next(rows)
+                        ran_on = rows.line_num > read + 1  # it ran past its line
+                    except csv.Error:  # perhaps on a line that follows it in new, not in the file
+                        ran_on = True
+                    if ran_on:
+                        on = csv.reader(chain(block[block.index(new[read]):], fh))
+                        row = next(on)
                     made.append(keys[tuple(_record(row, len(schema)))])
-                    read += 1
             before += len(block)
         if not made:
             raise InputError("samples file has no data rows")

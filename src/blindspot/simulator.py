@@ -216,10 +216,6 @@ def _counts_vector(dist: SyntheticDistribution, table: CountTable) -> np.ndarray
     return counts
 
 
-def _true_mass_from_counts(dist: SyntheticDistribution, counts: np.ndarray, tau: int) -> float:
-    return math.fsum(_floats(dist.probs[counts < tau]))
-
-
 def _exact_parts(values: np.ndarray) -> list[float]:
     """A few floats whose exact sum is the exact sum of the float array
     ``values``; OverflowError when a partial sum leaves the float range.
@@ -236,16 +232,17 @@ def _exact_parts(values: np.ndarray) -> list[float]:
 def _true_mass_from_parts(
     parts: list[float], dist: SyntheticDistribution, counts: np.ndarray, tau: int
 ) -> float:
-    """``_true_mass_from_counts`` bit for bit, given ``parts`` from
-    ``_exact_parts(dist.probs)``, as in ``dist._parts``: fsum rounds the exact
-    total less the states counted at least tau times once, as the blind sum."""
+    """The exact blind mass: the fsum of the probabilities of the states
+    counted below tau, bit for bit.  ``parts`` is ``_exact_parts(dist.probs)``,
+    as in ``dist._parts``; fsum rounds the exact total less the states
+    counted at least tau times once, as it would round the blind sum."""
     return math.fsum(parts + (-dist.probs[counts >= tau]).tolist())
 
 
 def true_blind_mass(dist: SyntheticDistribution, table: CountTable, tau) -> float:
     """Exact blind mass: sum of true probabilities of every state (seen or
     not) whose table count is below tau."""
-    return _true_mass_from_counts(dist, _counts_vector(dist, table), _check_tau(tau))
+    return _true_mass_from_parts(dist._parts, dist, _counts_vector(dist, table), _check_tau(tau))
 
 
 def _numerators(counts: np.ndarray, tau: int) -> Callable[[int], int]:

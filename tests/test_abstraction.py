@@ -19,18 +19,16 @@ from blindspot import (
     SensorWindow,
     abstract_stream,
     abstract_window,
-    energy_bin,
     fit_edges,
     fit_energy_edges,
-    gyro_energy,
     icd_prefix_state,
     make_windows,
-    mean_angular_rate,
     preset,
     tilt_bin,
 )
-from blindspot.abstraction import _window_features, _window_starts
+from blindspot.abstraction import _QUANTILE_FACTORS, _bins, _window_features, _window_starts
 from conftest import key
+import reference_wearable as ref
 
 
 def constant_stream(n, label=1, acc=(0.0, 0.0, 9.8), gyro=(0.0, 0.0, 0.0), rate=100.0):
@@ -202,16 +200,20 @@ class TestTiltBin:
             tilt_bin(w, 0)
 
 
+def window_means(w: SensorWindow) -> tuple[float, float]:
+    """The window mean of the energy and the rate per-sample statistics."""
+    return tuple(_QUANTILE_FACTORS[f].per_sample(w.gyro).mean() for f in ("energy", "rate"))
+
+
 class TestIntensityFeatures:
     def test_gyro_energy_hand_case(self):
         w = window_of([[0, 0, 1]] * 2, gyro_rows=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        assert gyro_energy(w) == pytest.approx(2.5)  # (1 + 4) / 2
-        assert mean_angular_rate(w) == pytest.approx(1.5)  # (1 + 2) / 2
+        energy, rate = window_means(w)
+        assert energy == pytest.approx(2.5)  # (1 + 4) / 2
+        assert rate == pytest.approx(1.5)  # (1 + 2) / 2
 
     def test_still_window_has_zero_energy(self):
-        w = window_of([[0, 0, 1]] * 5)
-        assert gyro_energy(w) == 0.0
-        assert mean_angular_rate(w) == 0.0
+        assert window_means(window_of([[0, 0, 1]] * 5)) == (0.0, 0.0)
 
 
 class TestQuantileEdges:
@@ -251,27 +253,26 @@ class TestQuantileEdges:
 
 
 class TestEnergyBin:
+    """``_bins``, the quantile binning of every window, on edges that
+    ``AbstractionConfig`` has checked."""
+
     def test_bin_assignment(self):
         edges = (0.0, 1.0, 2.0, 3.0)
-        assert energy_bin(0.5, edges) == 0
-        assert energy_bin(1.0, edges) == 0  # boundary closes the lower bin
-        assert energy_bin(1.5, edges) == 1
-        assert energy_bin(3.0, edges) == 2
-        assert energy_bin(99.0, edges) == 2  # clamp above
-        assert energy_bin(-5.0, edges) == 0  # clamp below
+        values = np.array([0.5, 1.0, 1.5, 3.0, 99.0, -5.0])
+        # the boundary 1.0 closes the lower bin; 99 clamps above, -5 below
+        assert _bins(values, edges) == ["0", "0", "1", "2", "2", "0"]
 
     def test_collapsed_edges_single_bin(self):
-        assert energy_bin(123.0, (1.0, 1.0, 1.0)) == 0
+        assert _bins(np.array([123.0]), (1.0, 1.0, 1.0)) == ["0"]
 
     def test_validation(self):
-        with pytest.raises(InputError):
-            energy_bin(1.0, (2.0,))
-        with pytest.raises(InputError):
-            energy_bin(1.0, (2.0, 1.0))
+        # _bins trusts its edges: the config is where a bad edge list stops
+        with pytest.raises(InputError, match="^energy_edges must have 2 values, got 1$"):
+            AbstractionConfig(factors=("energy",), energy_bins=1, energy_edges=(2.0,))
+        with pytest.raises(InputError, match="^rate_edges must be nondecreasing$"):
+            AbstractionConfig(factors=("rate",), rate_bins=1, rate_edges=(2.0, 1.0))
 
     def test_a_nan_edge_is_refused_as_the_config_refuses_it(self):
-        with pytest.raises(InputError, match="nondecreasing"):
-            energy_bin(1.0, (0.0, math.nan, 2.0))
         with pytest.raises(InputError, match="nondecreasing"):
             AbstractionConfig(factors=("energy",), energy_bins=2, energy_edges=(0.0, math.nan, 2.0))
 
@@ -279,14 +280,14 @@ class TestEnergyBin:
            st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=9))
     def test_result_always_a_valid_bin(self, value, raw_edges):
         edges = tuple(sorted(raw_edges))
-        b = energy_bin(value, edges)
-        assert 0 <= b <= len(edges) - 2
+        (b,) = _bins(np.array([value]), edges)
+        assert 0 <= int(b) <= len(edges) - 2
+        assert int(b) == ref.energy_bin(value, edges)
 
     def test_every_fitted_sample_lands_in_range(self):
         values = [0.3, 1.2, 0.9, 4.4, 2.2, 2.2, 0.0, 8.8]
         edges = fit_energy_edges(values, 3)
-        for v in values:
-            assert 0 <= energy_bin(v, edges) <= 2
+        assert set(_bins(np.array(values), edges)) <= {"0", "1", "2"}
 
 
 class TestAbstractionConfig:
@@ -372,6 +373,19 @@ class TestFitAndAbstract:
         with pytest.raises(InputError):
             abstract_window(w, AbstractionConfig(factors=("activity", "rate")))
 
+    @pytest.mark.parametrize("label", [5, np.int64(5), "walk", True], ids=["int", "numpy-int", "str", "bool"])
+    def test_abstract_window_label_rule_is_the_oracles(self, label):
+        w = window_of([[0.0, 3.0, 4.0]] * 4, gyro_rows=[[1.0, 0.0, 0.0]] * 4, label=label)
+        cfg = AbstractionConfig(factors=FACTOR_ORDER, tilt_bins=6, energy_bins=2, energy_edges=(0.0, 0.5, 2.0),
+                                rate_bins=2, rate_edges=(0.0, 2.0, 3.0))
+        if label is True:
+            for abstract in (ref.abstract_window, abstract_window):
+                with pytest.raises(InputError, match="^factor value may not be a bool$"):
+                    abstract(w, cfg)
+        else:
+            expected = key(activity=str(label), tilt="2", energy="1", rate="0")
+            assert ref.abstract_window(w, cfg) == abstract_window(w, cfg) == expected
+
     def test_deployment_refined_pipeline(self):
         windows = self.windows_with_energies([0.1, 0.4, 0.9, 1.6, 2.5, 3.6, 4.9, 6.4, 8.1])
         cfg = fit_edges(preset("deployment-refined"), windows)
@@ -400,7 +414,8 @@ def labeled_streams(draw):
 
 
 class TestAbstractStream:
-    """The one-pass path against make_windows -> fit_edges -> abstract_window."""
+    """The one-pass path, and the per-window API built on it, against the
+    per-window oracle in ``reference_wearable``."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -423,11 +438,11 @@ class TestAbstractStream:
         features = _window_features(stream, length, hop, starts, FACTOR_ORDER)
         close = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(features["tilt"], [w.acc.mean(axis=0) for w in windows], **close)
-        np.testing.assert_allclose(features["energy"], [gyro_energy(w) for w in windows], **close)
-        np.testing.assert_allclose(features["rate"], [mean_angular_rate(w) for w in windows], **close)
+        np.testing.assert_allclose(features["energy"], [ref.gyro_energy(w) for w in windows], **close)
+        np.testing.assert_allclose(features["rate"], [ref.mean_angular_rate(w) for w in windows], **close)
 
-        expected_config = fit_edges(preset(name), windows, fit_fraction)
-        expected = [abstract_window(w, expected_config) for w in windows]
+        expected_config = ref.fit_edges(preset(name), windows, fit_fraction)
+        expected = [ref.abstract_window(w, expected_config) for w in windows]
         config, states = abstract_stream(stream, preset(name), window_s, stride_s, fit_fraction)
         assert states == expected
         for edges in ("energy_edges", "rate_edges"):
@@ -435,6 +450,10 @@ class TestAbstractStream:
                 assert getattr(config, edges) is None
             else:
                 assert getattr(config, edges) == pytest.approx(getattr(expected_config, edges), rel=1e-12)
+        # the per-window API on the made windows: the same numpy operations
+        # as the oracle's statistics, so the same edges exactly
+        assert fit_edges(preset(name), windows, fit_fraction) == expected_config
+        assert [abstract_window(w, expected_config) for w in windows] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -448,17 +467,20 @@ class TestAbstractStream:
         windows = make_windows(stream, window_s, stride_s)
         if not windows:
             return
-        saved = fit_edges(preset("deployment-refined"), windows)
+        saved = ref.fit_edges(preset("deployment-refined"), windows)
         if not keep_rate:
             saved = replace(saved, rate_edges=None)
-        expected_config = fit_edges(saved, windows, fit_fraction)
+        expected_config = ref.fit_edges(saved, windows, fit_fraction)
         assert expected_config.energy_edges == saved.energy_edges
         if keep_rate:
             assert expected_config == saved
+        expected = [ref.abstract_window(w, expected_config) for w in windows]
         config, states = abstract_stream(stream, saved, window_s, stride_s, fit_fraction)
         assert config.energy_edges == saved.energy_edges
         assert config.rate_edges == pytest.approx(expected_config.rate_edges, rel=1e-12)
-        assert states == [abstract_window(w, expected_config) for w in windows]
+        assert states == expected
+        assert fit_edges(saved, windows, fit_fraction) == expected_config
+        assert [abstract_window(w, expected_config) for w in windows] == expected
 
     def test_equal_states_share_one_key(self):
         a = constant_stream(1000, label=1)

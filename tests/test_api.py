@@ -86,6 +86,15 @@ def _bench_wrapped(module: str) -> set[str]:
     return {name for _, name, _ in targets.get(module, ())}
 
 
+def test_every_name_the_bench_wraps_resolves():
+    # ``install`` in bench/spans.py looks up each TARGETS name on its module,
+    # so a name that src drops breaks the bench's --trace 1 run
+    targets = runpy.run_path(str(REPO_DIR / "bench" / "spans.py"))["TARGETS"]
+    assert set(targets) == {"cli", "report", "simulator"}
+    pairs = [(module, attr) for module, named in targets.items() for _, attr, _ in named]
+    assert pairs and [pair for pair in pairs if not hasattr(_module(pair[0]), pair[1])] == []
+
+
 def _imported_names(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (

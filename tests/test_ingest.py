@@ -233,6 +233,21 @@ class TestCountSamplesFile:
             assert outcome(count_samples_file, path) == f"{path}: {message}"
         assert outcome(reference_count, path) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize("lines, message", [
+        (["x", '"p', "b" * 140_000 + '"'], "line 4: field larger than field limit (131072)"),
+        # the repeated line is not among the block's new lines, but the
+        # parser stops on the fifth line of the file
+        (["x", "x", '"p', "b" * 140_000 + '"'], "line 5: field larger than field limit (131072)"),
+    ], ids=["spanning", "after-a-repeat"])
+    def test_a_csv_refusal_in_a_record_that_spans_lines_names_where_the_parser_stopped(
+            self, tmp_path, block, lines, message):
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{line}\n" for line in ["factor:a", *lines]))
+        with mock.patch.object(blindspot.ingest, "_BLOCK_ROWS", block):
+            assert outcome(count_samples_file, path) == f"{path}: {message}"
+        assert outcome(reference_count, path) == f"{path}: {message}"
+
 
 # count cells int() accepts, padded or quoted, three spanning two lines; value
 # cells padded, quoted or repeated
